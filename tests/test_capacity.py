@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from sbfmc import capacity, sampling
-from sbfmc.capacity import (
-    CovarianceMatrix,
-    project_simplex,
-    project_spectrahedron,
-    rho_values,
-    solve_mc_covariance,
-)
+from sbfmc.capacity import CovarianceMatrix, rho_values, solve_mc_covariance
 from sbfmc.sampling import ChannelSet, SeededStream, sample_channel_set
 
 # objective of the frozen (N=4, M=8) instance below, from a one-off
@@ -20,26 +14,6 @@ GOLDEN_OBJECTIVE = 0.9461726005089293
 def gains(ch, w):
     hw = ch.channels.conj() @ w
     return np.einsum("ij,ij->i", hw, ch.channels).real
-
-
-class TestProjections:
-    def test_simplex_basic(self):
-        v = np.array([0.2, 0.9, -0.3])
-        p = project_simplex(v)
-        assert abs(p.sum() - 1.0) < 1e-12
-        assert np.all(p >= 0)
-
-    def test_simplex_idempotent(self):
-        p = np.array([0.25, 0.5, 0.25])
-        assert np.allclose(project_simplex(p), p)
-
-    def test_spectrahedron(self):
-        rng = SeededStream(3, 0).generator()
-        a = sampling.randn_complex(rng, 4, 4)
-        w = project_spectrahedron(a + a.conj().T)
-        lam = np.linalg.eigvalsh(w)
-        assert lam[0] >= -1e-12
-        assert abs(np.trace(w).real - 1.0) < 1e-10
 
 
 class TestCovarianceMatrix:
@@ -113,6 +87,7 @@ class TestSolver:
         ch = sample_channel_set(4, 12, SeededStream(5, 2))
         sol = solve_mc_covariance(ch)
         hist = sol.best_objective_history
+        assert len(hist) >= 2  # one entry per Newton step
         assert all(a <= b + 1e-15 for a, b in zip(hist, hist[1:]))
 
     def test_certificate_is_valid_bound(self):
@@ -131,6 +106,60 @@ class TestSolver:
         assert abs(np.trace(w).real - 1.0) <= 1e-10
         assert abs(gains(ch, w).min() - sol.objective) <= 1e-9
 
+    def test_max_iter_caps_newton_steps(self):
+        # a capped solve is reported as uncertified, never as a silent ok
+        ch = sample_channel_set(4, 16, SeededStream(5, 30))
+        sol = solve_mc_covariance(ch, tol=1e-6, max_iter=2)
+        assert not sol.converged
+        assert sol.iterations == 2
+        assert len(sol.best_objective_history) == 2
+        CovarianceMatrix(sol.covariance.entries)  # passes validation
+        assert sol.gap == sol.upper_bound - sol.objective
+        assert sol.gap > 1e-6
+
+
+def rates_sweep_draw(m, j, seed=20240801, n=4):
+    """Channel set of realization j of the M-user population, drawn as the
+    `rates` command draws it."""
+    rng = SeededStream(seed, 0).substream(m * 1_000_000 + j)
+    return ChannelSet(sampling.randn_complex(rng, m, n))
+
+
+class TestRankFinish:
+    """Interior iterates are positive definite; the solver must return the
+    rank of W*, not the iterate's near-zero eigenvalues."""
+
+    def test_three_orthogonal_users(self):
+        # optimum 1/3 on span(e1, e2, e3); the fourth direction is null
+        h = np.eye(4, dtype=complex)[:3]
+        sol = solve_mc_covariance(ChannelSet(h))
+        assert sol.converged
+        assert abs(sol.objective - 1.0 / 3.0) <= 1e-6
+        assert sampling.psd_sqrt(sol.covariance.entries)[1] == 3
+        lam = np.linalg.eigvalsh(sol.covariance.entries)
+        assert lam[0] <= 1e-12 * lam[-1]
+
+    def test_two_users_rank_one(self):
+        # with M = 2 the max-min covariance has rank 1
+        for j in range(20):
+            ch = sample_channel_set(4, 2, SeededStream(7, j))
+            sol = solve_mc_covariance(ch)
+            assert sol.converged
+            assert sampling.psd_sqrt(sol.covariance.entries)[1] == 1, j
+
+    def test_rates_sweep_m32_draws_certified(self):
+        for j in range(14):
+            sol = solve_mc_covariance(rates_sweep_draw(32, j))
+            assert sol.converged, j
+            assert sol.gap <= 1e-6
+
+    def test_degenerate_draw_certified(self):
+        # here one eigen-direction has both lambda(W) and v^H Z v small at
+        # gap tol/10, so the solver must follow the path further to finish
+        sol = solve_mc_covariance(rates_sweep_draw(24, 81))
+        assert sol.converged
+        assert sol.gap <= 1e-6
+
 
 def test_objective_concave_along_segments():
     # min_i h_i^H W h_i is concave: midpoint value >= chord midpoint
@@ -139,8 +168,8 @@ def test_objective_concave_along_segments():
     for _ in range(20):
         a = sampling.randn_complex(rng, 4, 4)
         b = sampling.randn_complex(rng, 4, 4)
-        w1 = project_spectrahedron(a @ a.conj().T)
-        w2 = project_spectrahedron(b @ b.conj().T)
+        w1 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        w2 = b @ b.conj().T / np.trace(b @ b.conj().T).real
         f1 = gains(ch, w1).min()
         f2 = gains(ch, w2).min()
         fm = gains(ch, 0.5 * (w1 + w2)).min()

@@ -226,6 +226,20 @@ def test_shipped_configs_parse():
         parse_config(path.read_text())
 
 
+def test_shipped_rates_config_all_certified(tmp_path):
+    # every one of the 600 covariance solves of the shipped rates sweep is
+    # certified within solver_tol, so no row carries noconv (a rank1:k
+    # suffix only counts rank-1 realizations skipped by a rank-2 law)
+    import pathlib
+
+    cfg_path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "rates_vs_users.cfg"
+    out_path = tmp_path / "rates.csv"
+    assert main(["rates", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    _, rows = rows_of(out_path.read_text())
+    assert len(rows) == 30
+    assert [r["status"] for r in rows if r["status"].split(";")[0] != "ok"] == []
+
+
 def test_missing_config_file(tmp_path):
     assert main(["gaps", "--config", str(tmp_path / "nope.cfg")]) == 2
 
