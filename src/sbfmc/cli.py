@@ -34,23 +34,6 @@ LN2 = math.log(2.0)
 _VERIFY_ROW_BASE = 1 << 32
 _BER_ROW_BASE = 2 << 32
 
-_DEFAULT_SCHEMES = (
-    "mc",
-    "gauss_sbf",
-    "ellip_sbf",
-    "gauss_sbf_alamouti",
-    "ellip_sbf_alamouti",
-)
-
-_RATE_FNS = {
-    "mc": rates.rate_mc,
-    "gauss_sbf": rates.rate_sbf_gauss,
-    "ellip_sbf": rates.rate_sbf_ellip,
-    "gauss_sbf_alamouti": rates.rate_sbf_alam_gauss,
-    "ellip_sbf_alamouti": rates.rate_sbf_alam_ellip,
-}
-
-
 class ConfigError(Exception):
     pass
 
@@ -61,7 +44,8 @@ class ExperimentConfig:
     m: int = 16
     m_grid: list = field(default_factory=list)
     power_db: list = field(default_factory=lambda: [10.0])
-    schemes: list = field(default_factory=lambda: list(_DEFAULT_SCHEMES))
+    schemes: list = field(default_factory=lambda: [
+        name for name, s in rates.RATE_SCHEMES.items() if s.rate is not None])
     constellation: str = "qpsk"
     seed: int = 0
     n_samples: int = 100_000
@@ -145,6 +129,14 @@ def db_to_linear(p_db):
     return 10.0 ** (p_db / 10.0)
 
 
+def _rate_entries(cfg):
+    """(name, rates.RATE_SCHEMES entry) of every configured scheme."""
+    for name in cfg.schemes:
+        if name not in rates.RATE_SCHEMES:
+            raise ConfigError(f"unknown scheme {name!r}")
+    return [(name, rates.RATE_SCHEMES[name]) for name in cfg.schemes]
+
+
 def _solve_realizations(cfg, m):
     """Channel set, covariance solution and gains for every realization of
     an M-user population; realization j draws from channel sub-stream
@@ -166,6 +158,7 @@ def cmd_rates(cfg):
     scheme and per (M, P) grid point."""
     header = ["scheme", "N", "M", "P_dB", "rate_nats", "rate_bits", "stderr", "status"]
     m_values = cfg.m_grid or [cfg.m]
+    schemes = [(s, e) for s, e in _rate_entries(cfg) if e.rate is not None]
     rows = []
     for m in m_values:
         reals = _solve_realizations(cfg, m)
@@ -173,17 +166,14 @@ def cmd_rates(cfg):
         status = "ok" if n_bad == 0 else f"noconv:{n_bad}"
         for p_db in cfg.power_db:
             power = db_to_linear(p_db)
-            for scheme in cfg.schemes:
-                if scheme not in _RATE_FNS:
-                    raise ConfigError(f"unknown rate scheme {scheme!r}")
+            for scheme, entry in schemes:
                 vals = []
                 n_skipped = 0
                 for _, sol, rho_min, rank in reals:
-                    if scheme == "ellip_sbf_alamouti" and rank < 2:
-                        n_skipped += 1  # degenerate: that law needs rank >= 2
+                    if rank < entry.min_rank:  # min_rank is at most 2
+                        n_skipped += 1
                         continue
-                    p = rates.SchemeParams(rho_min, power, max(rank, 1))
-                    vals.append(_RATE_FNS[scheme](p))
+                    vals.append(entry.rate(rates.SchemeParams(rho_min, power, max(rank, 1))))
                 row_status = status if not n_skipped else f"{status};rank1:{n_skipped}"
                 if not vals:
                     rows.append([scheme, cfg.n, m, p_db, math.nan, math.nan, 0.0,
@@ -201,17 +191,15 @@ def cmd_gaps(cfg):
     asymptotic limit and the remaining distance to it."""
     header = ["scheme", "rank", "rho_min", "P_dB", "gap_nats", "limit", "delta_to_limit"]
     rows = []
-    for scheme in cfg.schemes:
-        if scheme == "mc":
+    for scheme, entry in _rate_entries(cfg):
+        if entry.gap_limit is None:  # mc, the bound itself
             continue
-        if scheme not in rates.GAP_SCHEMES:
-            raise ConfigError(f"unknown gap scheme {scheme!r}")
-        rank = 1 if scheme == "gauss_sbf" or scheme == "gauss_sbf_alamouti" else cfg.rank
+        rank = cfg.rank if entry.uses_rank else 1
         limit = rates.gap_limit(scheme, rank)
         for p_db in cfg.power_db:
             power = db_to_linear(p_db)
             p = rates.SchemeParams(cfg.rho_min, power, rank)
-            gap = rates.rate_mc(p) - _RATE_FNS[scheme](p)
+            gap = rates.rate_mc(p) - entry.rate(p)
             rows.append([scheme, rank, cfg.rho_min, p_db, gap, limit, gap - limit])
     return _csv(header, rows), 0
 
@@ -225,7 +213,8 @@ def _verify_row(cfg, scheme, rank, p_db, row_idx):
     rho = cfg.rho_min
     stream = SeededStream(cfg.seed, _VERIFY_ROW_BASE + row_idx)
     rng = stream.generator()
-    if scheme == "bingham_phi":
+    entry = rates.RATE_SCHEMES[scheme]
+    if entry.rate is None:
         # quadrature target is the log moment int log(z) p(z) dz itself
         lam = np.full(rank, 1.0 / rank)
         mix = ExponentialMixture.from_weights(lam)
@@ -238,7 +227,7 @@ def _verify_row(cfg, scheme, rank, p_db, row_idx):
         vals = np.log(draws)
     else:
         p = rates.SchemeParams(rho, power, rank)
-        closed = _RATE_FNS[scheme](p)
+        closed = entry.rate(p)
         law = rates.gain_law_for_scheme(scheme, rank)
         quad = rates.quadrature_rate_oracle(law, rho, power, tol=1e-10)
         draws = sampling.sample_effective_gain(law, rng, cfg.n_samples)
@@ -259,17 +248,12 @@ def cmd_verify(cfg):
     header = ["scheme", "rank", "rho", "P_dB", "closed_form", "quadrature",
               "mc_estimate", "mc_stderr", "quad_abs_diff", "mc_dev_se", "pass"]
     tasks = []
-    for scheme in cfg.schemes:
-        if scheme == "mc":
-            continue
-        if scheme == "bingham_phi":
-            tasks.append((scheme, cfg.rank, cfg.power_db[0]))
-            continue
-        if scheme not in rates.GAP_SCHEMES:
-            raise ConfigError(f"unknown verify scheme {scheme!r}")
-        rank = 1 if scheme.startswith("gauss") else cfg.rank
-        for p_db in cfg.power_db:
-            tasks.append((scheme, rank, p_db))
+    for scheme, entry in _rate_entries(cfg):
+        rank = cfg.rank if entry.uses_rank else 1
+        if entry.rate is None:  # the phi check: one row, power-free
+            tasks.append((scheme, rank, cfg.power_db[0]))
+        elif entry.gap_limit is not None:  # mc, the bound itself, is not checked
+            tasks.extend((scheme, rank, p_db) for p_db in cfg.power_db)
 
     def run(idx):
         scheme, rank, p_db = tasks[idx]
@@ -293,6 +277,9 @@ def cmd_ber(cfg):
     m_values = cfg.m_grid or [cfg.m]
     con = make_constellation(cfg.constellation)
     t_len = cfg.resolved_frame_length()
+    # names known only to the rate table (mc) have no link scheme
+    schemes = [s for s in cfg.schemes
+               if s in linksim.LINK_SCHEMES or s not in rates.RATE_SCHEMES]
     rows = []
     row_idx = 0
     for m in m_values:
@@ -301,9 +288,7 @@ def cmd_ber(cfg):
         sol = capacity.solve_mc_covariance(ch, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
         status = "ok" if sol.converged else "noconv"
         for p_db in cfg.power_db:
-            for scheme in cfg.schemes:
-                if scheme == "mc":
-                    continue
+            for scheme in schemes:
                 sim_cfg = SchemeConfig(
                     scheme, sol.covariance, con, db_to_linear(p_db), t_len
                 )

@@ -20,29 +20,6 @@ from . import backend
 from .capacity import CovarianceMatrix
 from .sampling import SeededStream, WeightSampler, psd_sqrt, randn_complex
 
-SCHEMES = (
-    "bf",
-    "gauss_sbf",
-    "ellip_sbf",
-    "bf_alamouti",
-    "gauss_sbf_alamouti",
-    "ellip_sbf_alamouti",
-    "precoded_sm",
-    "precoded_qostbc",
-)
-
-BLOCK_LENGTH = {
-    "bf": 1,
-    "gauss_sbf": 1,
-    "ellip_sbf": 1,
-    "bf_alamouti": 2,
-    "gauss_sbf_alamouti": 2,
-    "ellip_sbf_alamouti": 2,
-    "precoded_sm": 1,
-    "precoded_qostbc": 4,
-}
-
-_ALAMOUTI = ("bf_alamouti", "gauss_sbf_alamouti", "ellip_sbf_alamouti")
 _ML_SEARCH_GUARD = 10**6
 
 
@@ -152,14 +129,12 @@ def alamouti_encode(s1, s2):
     return np.array([[s1, s2], [-np.conj(s2), np.conj(s1)]])
 
 
-def alamouti_combine(y, g, noise_var=1.0):
+def alamouti_combine(y, g):
     """Combine the two received slots into per-symbol decision statistics.
 
     With y1 = g1 s1 + g2 s2 + n1 and y2 = -g1 s2* + g2 s1* + n2 the outputs
-    are z_k = (|g1|^2 + |g2|^2) s_k + noise.  noise_var only scales the
-    noise term and is accepted for interface symmetry.
+    are z_k = (|g1|^2 + |g2|^2) s_k + noise.
     """
-    del noise_var
     y1, y2 = y[..., 0], y[..., 1]
     g1, g2 = g[..., 0], g[..., 1]
     z1 = np.conj(g1) * y1 + g2 * np.conj(y2)
@@ -199,20 +174,18 @@ class SchemeConfig:
     constellation: Constellation
     power: float
     frame_length: int = 1440
-    qostbc_detection: str = "auto"  # pair | full | auto
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        link = LINK_SCHEMES.get(self.scheme)
+        if link is None:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.power < 0:
             raise ValueError("power must be >= 0")
-        blk = BLOCK_LENGTH[self.scheme]
+        blk = link.block_length
         if self.frame_length < 1 or self.frame_length % blk:
             raise ValueError(
                 f"frame length {self.frame_length} not divisible by block length {blk}"
             )
-        if self.qostbc_detection not in ("auto", "pair", "full"):
-            raise ValueError(f"bad qostbc_detection {self.qostbc_detection!r}")
 
 
 @dataclass(frozen=True)
@@ -229,36 +202,36 @@ class _SchemeOps:
     """Factors of the covariance needed by each scheme, computed once."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
+        self.link = link = LINK_SCHEMES[cfg.scheme]
         w = cfg.covariance.entries
         self.root, self.rank = psd_sqrt(w)
         self.n_antennas = w.shape[0]
         lam, v = np.linalg.eigh(w)
-        self.principal = v[:, -1]
         # Alamouti branch pair: top-2 eigenvectors, power split by
         # eigenvalue, scaled so the two branch norms sum to 2
         lam2 = np.clip(lam[-2:][::-1], 0.0, None)
         tot = lam2.sum()
         b1 = v[:, -1] * math.sqrt(2.0 * lam2[0] / tot)
         b2 = v[:, -2] * math.sqrt(2.0 * lam2[1] / tot)
-        self.bf_pair = np.stack([b1, b2], axis=0)
-        if cfg.scheme in ("gauss_sbf", "ellip_sbf"):
-            self.sampler = WeightSampler.from_covariance(cfg.scheme, w)
-        elif cfg.scheme in ("gauss_sbf_alamouti", "ellip_sbf_alamouti"):
-            base = "gauss_sbf" if cfg.scheme.startswith("gauss") else "ellip_sbf"
-            self.sampler = WeightSampler.from_covariance(base, w)
-        if cfg.scheme == "precoded_qostbc" and self.rank != 4:
+        # fixed weights, one row per branch, or else the sampler of a random law
+        self.fixed = {"principal": v[:, -1:].T, "bf_pair": np.stack([b1, b2])}.get(link.weights)
+        self.sampler = None
+        if self.fixed is None and link.weights is not None:
+            self.sampler = WeightSampler.from_covariance(link.weights, w)
+        if link.rank is not None and self.rank != link.rank:
             raise ValueError(
-                f"precoded QOSTBC needs a rank-4 covariance, got rank {self.rank}"
+                f"{cfg.scheme} needs a rank-{link.rank} covariance, got rank {self.rank}"
             )
 
 
 def _draw_weights(ops, rng, count):
-    """(count, N) weights for the scheme's weight law."""
-    scheme = ops.cfg.scheme
-    if scheme == "bf":
-        return np.repeat(ops.principal[None, :], count, axis=0)
-    return ops.sampler.sample(rng, count)
+    """Per-branch (count, N) weights of the scheme's weight law: one branch
+    per slot of the code block."""
+    if ops.fixed is not None:
+        return tuple(np.repeat(b[None, :], count, axis=0) for b in ops.fixed)
+    if ops.link.block_length == 1:
+        return (ops.sampler.sample(rng, count),)
+    return ops.sampler.sample_pair(rng, count)
 
 
 def _nearest_point(values, scale, constellation):
@@ -282,7 +255,7 @@ def _all_tuples(n_symbols, size):
     return np.stack(cols, axis=1)
 
 
-def ml_detect_exhaustive(y, eff_channel, constellation, n_symbols, noise_var=1.0):
+def ml_detect_exhaustive(y, eff_channel, constellation, n_symbols):
     """Exact ML detection by exhaustive search.
 
     Parameters
@@ -292,13 +265,10 @@ def ml_detect_exhaustive(y, eff_channel, constellation, n_symbols, noise_var=1.0
         (n_cand, L) noiseless received vectors (linear or conjugate-linear).
     constellation, n_symbols : symbol alphabet and tuple length; the search
         space |constellation|^n_symbols is capped at 1e6.
-    noise_var : accepted for interface symmetry; the argmin is unaffected
-        by a common noise variance.
 
     Returns the detected symbol-index tuples, shape (n_symbols,) or
     (B, n_symbols).
     """
-    del noise_var
     tuples = _all_tuples(n_symbols, constellation.size)
     cand = np.asarray(eff_channel(constellation.points[tuples]))
     y = np.asarray(y, dtype=np.complex128)
@@ -354,55 +324,118 @@ def detect_qostbc(y_blocks, g, constellation, power, mode="auto"):
 
 def frame_bit_count(cfg, ops=None):
     """Payload bits per frame for a scheme configuration."""
-    bps = cfg.constellation.bits_per_symbol
-    if cfg.scheme == "precoded_sm":
-        if ops is None:
-            ops = _SchemeOps(cfg)
-        return cfg.frame_length * bps * ops.rank
-    return cfg.frame_length * bps
+    bits = cfg.frame_length * cfg.constellation.bits_per_symbol
+    if LINK_SCHEMES[cfg.scheme].multiplexed:
+        bits *= (_SchemeOps(cfg) if ops is None else ops).rank
+    return bits
 
 
-def _encode_frame(cfg, ops, bits, rng):
-    """Transmit signal (N, T) plus the receiver-side info for this frame.
-
-    Draw order within a frame is fixed (weights only; payload bits and
-    noise are drawn by the caller) so results are reproducible.
-    """
+def _encode_weighted(cfg, ops, bits, rng):
+    """One symbol per slot on drawn weights, Alamouti-coded over two
+    branches when the block is two slots long."""
     con = cfg.constellation
-    t_len = cfg.frame_length
-    sp = math.sqrt(cfg.power)
-    scheme = cfg.scheme
-    if scheme in ("bf", "gauss_sbf", "ellip_sbf"):
-        idx = bits_to_symbol_indices(bits, con)
-        s = con.points[idx]
-        w = _draw_weights(ops, rng, t_len)  # (T, N)
-        x = sp * (w * s[:, None]).T
-        return x, {"weights": w, "symbols": idx}
-    if scheme in _ALAMOUTI:
-        idx = bits_to_symbol_indices(bits, con)
-        s = con.points[idx].reshape(-1, 2)
-        n_blocks = s.shape[0]
-        if scheme == "bf_alamouti":
-            w1 = np.repeat(ops.bf_pair[0][None, :], n_blocks, axis=0)
-            w2 = np.repeat(ops.bf_pair[1][None, :], n_blocks, axis=0)
+    idx = bits_to_symbol_indices(bits, con)
+    s = con.points[idx].reshape(-1, ops.link.block_length)
+    w = _draw_weights(ops, rng, s.shape[0])
+    amp = math.sqrt(cfg.power / len(w))
+    if len(w) == 1:
+        x = amp * (w[0] * s).T
+    else:
+        x = np.empty((ops.n_antennas, cfg.frame_length), dtype=np.complex128)
+        x[:, 0::2] = amp * (w[0] * s[:, 0:1] + w[1] * s[:, 1:2]).T
+        x[:, 1::2] = amp * (-w[0] * np.conj(s[:, 1:2]) + w[1] * np.conj(s[:, 0:1])).T
+    return x, {"weights": w, "symbols": idx}
+
+
+def _detect_weighted(cfg, ops, h, y, info):
+    """Scalar nearest point of each user's decision statistic z after
+    identity (one branch) or Alamouti (two branches) combining."""
+    gains = np.stack([w @ h.conj().T for w in info["weights"]], axis=-1)  # (blocks, M, branches)
+    amp = math.sqrt(cfg.power / gains.shape[-1])
+    for i in range(h.shape[0]):
+        g = gains[:, i]
+        if gains.shape[-1] == 1:
+            z, scale = y[i], amp * g[:, 0]
         else:
-            w1, w2 = ops.sampler.sample_pair(rng, n_blocks)
-        amp = math.sqrt(cfg.power / 2.0)
-        x = np.empty((ops.n_antennas, t_len), dtype=np.complex128)
-        x[:, 0::2] = amp * (w1 * s[:, 0:1] + w2 * s[:, 1:2]).T
-        x[:, 1::2] = amp * (-w1 * np.conj(s[:, 1:2]) + w2 * np.conj(s[:, 0:1])).T
-        return x, {"w1": w1, "w2": w2, "symbols": idx}
-    if scheme == "precoded_sm":
-        idx = bits_to_symbol_indices(bits, con).reshape(t_len, ops.rank)
-        s = con.points[idx]  # (T, d)
-        x = sp * (ops.root @ s.T)
-        return x, {"symbols": idx}
-    if scheme == "precoded_qostbc":
-        idx = bits_to_symbol_indices(bits, con).reshape(-1, 4)
-        blocks = _qostbc_encode_batch(con.points[idx])  # (B, 4, 4)
-        x = sp * np.einsum("nj,bjt->nbt", ops.root, blocks).reshape(ops.n_antennas, t_len)
-        return x, {"symbols": idx}
-    raise ValueError(f"unknown scheme {scheme!r}")
+            z = alamouti_combine(y[i].reshape(-1, 2), g).ravel()
+            scale = np.repeat(amp * (np.abs(g[:, 0]) ** 2 + np.abs(g[:, 1]) ** 2), 2)
+        yield _nearest_point(z, scale, cfg.constellation)
+
+
+def _encode_multiplexed(cfg, ops, bits, rng):
+    """One symbol per stream of the covariance root B in every slot."""
+    con = cfg.constellation
+    idx = bits_to_symbol_indices(bits, con).reshape(cfg.frame_length, ops.rank)
+    x = math.sqrt(cfg.power) * (ops.root @ con.points[idx].T)
+    return x, {"symbols": idx}
+
+
+def _detect_tuples(cfg, ops, h, y, info):
+    """Exhaustive ML search over the symbol tuples of each slot."""
+    con = cfg.constellation
+    g = h.conj() @ ops.root  # (M, d), row i = (B^H h_i)^*
+    tuples = _all_tuples(ops.rank, con.size)
+    sym = con.points[tuples]  # (K^d, d)
+    sp = math.sqrt(cfg.power)
+    for i in range(h.shape[0]):
+        cand = sp * (sym @ g[i])[:, None]
+        yield tuples[backend.min_dist_detect(y[i][:, None], cand)]
+
+
+def _encode_qostbc(cfg, ops, bits, rng):
+    """Quasi-orthogonal 4x4 blocks on the four streams of B."""
+    con = cfg.constellation
+    idx = bits_to_symbol_indices(bits, con).reshape(-1, 4)
+    blocks = _qostbc_encode_batch(con.points[idx])  # (B, 4, 4)
+    x = math.sqrt(cfg.power) * np.einsum("nj,bjt->nbt", ops.root, blocks)
+    return x.reshape(ops.n_antennas, cfg.frame_length), {"symbols": idx}
+
+
+def _detect_qostbc_blocks(cfg, ops, h, y, info):
+    """detect_qostbc on each user's 4-slot blocks."""
+    g = ops.root.conj().T @ h.T  # (4, M), column i = B^H h_i
+    for i in range(h.shape[0]):
+        yield detect_qostbc(y[i].reshape(-1, 4), g[:, i], cfg.constellation, cfg.power)
+
+
+@dataclass(frozen=True)
+class LinkScheme:
+    """How one scheme sends and detects: one entry of LINK_SCHEMES.
+
+    block_length: slots per code block; frame lengths are multiples of it.
+    weights: the weight law.  "principal" (top eigenvector of W) and
+        "bf_pair" (the eigenvalue-split top-2 pair) are fixed; a
+        WeightSampler kind is redrawn per block; None precodes with the
+        covariance root B.
+    encode: (cfg, ops, bits, rng) -> the (N, T) transmit signal and the
+        receiver-side info.  It draws only weights from rng (the caller
+        draws payload bits before and noise after), so results reproduce.
+    detect: (cfg, ops, h, y, info) -> each user's detected symbol indices
+        from the (M, T) received signal y, one user at a time.
+    multiplexed: sends one symbol per stream of B in every slot.
+    rank: covariance rank the code needs, or None for any.
+    """
+
+    block_length: int
+    weights: object
+    encode: object
+    detect: object
+    multiplexed: bool = False
+    rank: object = None
+
+
+LINK_SCHEMES = {
+    "bf": LinkScheme(1, "principal", _encode_weighted, _detect_weighted),
+    "gauss_sbf": LinkScheme(1, "gauss_sbf", _encode_weighted, _detect_weighted),
+    "ellip_sbf": LinkScheme(1, "ellip_sbf", _encode_weighted, _detect_weighted),
+    "bf_alamouti": LinkScheme(2, "bf_pair", _encode_weighted, _detect_weighted),
+    "gauss_sbf_alamouti": LinkScheme(2, "gauss_sbf", _encode_weighted, _detect_weighted),
+    "ellip_sbf_alamouti": LinkScheme(2, "ellip_sbf", _encode_weighted, _detect_weighted),
+    "precoded_sm": LinkScheme(1, None, _encode_multiplexed, _detect_tuples, multiplexed=True),
+    "precoded_qostbc": LinkScheme(4, None, _encode_qostbc, _detect_qostbc_blocks, rank=4),
+}
+
+SCHEMES = tuple(LINK_SCHEMES)
 
 
 def transmit_frame(cfg, bits, stream):
@@ -413,65 +446,18 @@ def transmit_frame(cfg, bits, stream):
     if bits.size != expected:
         raise ValueError(f"expected {expected} bits, got {bits.size}")
     rng = stream.generator() if isinstance(stream, SeededStream) else stream
-    x, _ = _encode_frame(cfg, ops, bits, rng)
-    return x
-
-
-def _detect_frame(cfg, ops, ch, x, info, rng):
-    """Per-user detection; returns (M,) bit error counts for this frame."""
-    con = cfg.constellation
-    h = ch.channels
-    m = h.shape[0]
-    t_len = cfg.frame_length
-    sp = math.sqrt(cfg.power)
-    noise = randn_complex(rng, m, t_len)
-    y_all = h.conj() @ x + noise  # (M, T)
-    errors = np.zeros(m, dtype=np.int64)
-    scheme = cfg.scheme
-    if scheme in ("bf", "gauss_sbf", "ellip_sbf"):
-        gains = info["weights"] @ h.conj().T  # (T, M)
-        for i in range(m):
-            det = _nearest_point(y_all[i], sp * gains[:, i], con)
-            errors[i] = count_bit_errors(info["symbols"], det, con)
-        return errors
-    if scheme in _ALAMOUTI:
-        g1 = info["w1"] @ h.conj().T  # (blocks, M)
-        g2 = info["w2"] @ h.conj().T
-        amp = math.sqrt(cfg.power / 2.0)
-        for i in range(m):
-            yb = y_all[i].reshape(-1, 2)
-            g = np.stack([g1[:, i], g2[:, i]], axis=-1)
-            z = alamouti_combine(yb, g)
-            scale = amp * (np.abs(g1[:, i]) ** 2 + np.abs(g2[:, i]) ** 2)
-            det = _nearest_point(z.ravel(), np.repeat(scale, 2), con)
-            errors[i] = count_bit_errors(info["symbols"], det, con)
-        return errors
-    if scheme == "precoded_sm":
-        g = h.conj() @ ops.root  # (M, d), row i = (B^H h_i)^*
-        tuples = _all_tuples(ops.rank, con.size)
-        sym = con.points[tuples]  # (K^d, d)
-        flat_tx = info["symbols"].ravel()
-        for i in range(m):
-            cand = sp * (sym @ g[i])[:, None]
-            det = tuples[backend.min_dist_detect(y_all[i][:, None], cand)]
-            errors[i] = count_bit_errors(flat_tx, det.ravel(), con)
-        return errors
-    if scheme == "precoded_qostbc":
-        g = ops.root.conj().T @ h.T  # (4, M), column i = B^H h_i
-        flat_tx = info["symbols"].ravel()
-        for i in range(m):
-            yb = y_all[i].reshape(-1, 4)
-            det = detect_qostbc(yb, g[:, i], con, cfg.power, cfg.qostbc_detection)
-            errors[i] = count_bit_errors(flat_tx, det.ravel(), con)
-        return errors
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return ops.link.encode(cfg, ops, bits, rng)[0]
 
 
 def _simulate_one_frame(cfg, ops, ch, rng):
-    n_bits = frame_bit_count(cfg, ops)
-    bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    x, info = _encode_frame(cfg, ops, bits, rng)
-    return _detect_frame(cfg, ops, ch, x, info, rng)
+    """(M,) bit error counts of one frame."""
+    bits = rng.integers(0, 2, frame_bit_count(cfg, ops), dtype=np.uint8)
+    x, info = ops.link.encode(cfg, ops, bits, rng)
+    h = ch.channels
+    y = h.conj() @ x + randn_complex(rng, h.shape[0], cfg.frame_length)  # (M, T)
+    detected = ops.link.detect(cfg, ops, h, y, info)
+    return np.array([count_bit_errors(info["symbols"], d, cfg.constellation) for d in detected],
+                    dtype=np.int64)
 
 
 def simulate_worst_user_ber(cfg, ch, n_frames, stream):
@@ -503,7 +489,7 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
     worst = float(ber.max())
     stderr = math.sqrt(max(worst * (1.0 - worst), 0.0) / total_bits)
     diagnostics = {}
-    if cfg.scheme in ("precoded_sm", "precoded_qostbc"):
+    if ops.link.weights is None:
         g = ch.channels.conj() @ ops.root  # (M, d)
         p_stream = np.abs(g) ** 2
         diagnostics["interference_fraction"] = (
@@ -516,8 +502,9 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
 # Monte Carlo rate estimation
 
 
-_RATE_SCHEMES = ("bf", "gauss_sbf", "ellip_sbf", "bf_alamouti",
-                 "gauss_sbf_alamouti", "ellip_sbf_alamouti")
+def _mean_branch_gain(weights, h):
+    """(count, M) gains |h^H w|^2 averaged over the branches."""
+    return sum(np.abs(w @ h.conj().T) ** 2 for w in weights) / len(weights)
 
 
 def estimate_user_rates_mc(cfg, ch, n_samples, stream, chunk=1 << 16):
@@ -528,35 +515,24 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream, chunk=1 << 16):
     Deterministic schemes (bf, bf_alamouti) return the exact rate with
     zero standard error.
     """
-    if cfg.scheme not in _RATE_SCHEMES:
+    if LINK_SCHEMES[cfg.scheme].weights is None:
         raise ValueError(f"no rate estimator for scheme {cfg.scheme!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     ops = _SchemeOps(cfg)
     h = ch.channels
     p = cfg.power
-    if cfg.scheme == "bf":
-        rate = np.log1p(p * np.abs(h.conj() @ ops.principal) ** 2)
-        return rate, np.zeros_like(rate)
-    if cfg.scheme == "bf_alamouti":
-        g = h.conj() @ ops.bf_pair.T  # (M, 2)
-        rate = np.log1p(0.5 * p * np.sum(np.abs(g) ** 2, axis=1))
+    if ops.fixed is not None:
+        rate = np.log1p(p * _mean_branch_gain(_draw_weights(ops, None, 1), h)[0])
         return rate, np.zeros_like(rate)
     rng = stream.generator() if isinstance(stream, SeededStream) else stream
     m = h.shape[0]
     acc = np.zeros(m)
     acc2 = np.zeros(m)
     done = 0
-    pairwise = cfg.scheme in _ALAMOUTI
     while done < n_samples:
         n = min(chunk, n_samples - done)
-        if pairwise:
-            w1, w2 = ops.sampler.sample_pair(rng, n)
-            gain = 0.5 * (np.abs(w1 @ h.conj().T) ** 2 + np.abs(w2 @ h.conj().T) ** 2)
-        else:
-            w = ops.sampler.sample(rng, n)
-            gain = np.abs(w @ h.conj().T) ** 2  # (n, M)
-        vals = np.log1p(p * gain)
+        vals = np.log1p(p * _mean_branch_gain(_draw_weights(ops, rng, n), h))
         acc += vals.sum(axis=0)
         acc2 += (vals**2).sum(axis=0)
         done += n

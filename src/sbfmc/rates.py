@@ -25,6 +25,8 @@ __all__ = [
     "BinghamUserParams",
     "ExponentialMixture",
     "QuadratureError",
+    "RateScheme",
+    "RATE_SCHEMES",
     "GAP_SCHEMES",
     "rate_mc",
     "rate_sbf_gauss",
@@ -38,9 +40,6 @@ __all__ = [
     "partial_fraction_coeffs",
     "gain_law_for_scheme",
 ]
-
-GAP_SCHEMES = ("gauss_sbf", "ellip_sbf", "gauss_sbf_alamouti", "ellip_sbf_alamouti")
-
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -125,26 +124,75 @@ def rate_sbf_alam_ellip(p):
     return c1 - c2
 
 
-def gap_limit(scheme, rank=1):
-    """Exact high-power limit of the rate gap C_mc - C_scheme, in nats.
+@dataclass(frozen=True)
+class RateScheme:
+    """Closed-form facts of one scheme: one entry of RATE_SCHEMES.
 
-    gauss_sbf: gamma; ellip_sbf: H_{r-1} - log r;
-    gauss_sbf_alamouti: log 2 + gamma - 1;
-    ellip_sbf_alamouti: H_{2r-1} - log r - 1.
+    rate: SchemeParams -> achievable rate in nats.  None marks
+        bingham_phi, which is no transmission scheme but the verify check
+        of phi_exp_mixture on the equal-weight rank-r mixture (the
+        log-moment term of the Bingham-weight rate).
+    gain_law: rank -> normalized-gain law (see sbfmc.gainlaws).
+    gap_limit: rank -> high-power limit of C_mc - rate, in nats; None for
+        mc, the bound itself.
+    uses_rank: whether the law depends on the rank of the covariance.
+    min_rank: smallest rank the law is defined for.
+
+    The entries call the module's functions by name when they run, so a
+    rebinding of those names (profilers, perfbench's tracer) reaches every
+    call.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    if scheme == "gauss_sbf":
-        return specfun.EULER_GAMMA
-    if scheme == "ellip_sbf":
-        return float(specfun.harmonic(rank - 1)) - math.log(rank)
-    if scheme == "gauss_sbf_alamouti":
-        return math.log(2.0) + specfun.EULER_GAMMA - 1.0
-    if scheme == "ellip_sbf_alamouti":
-        if rank < 2:
-            raise ValueError("ellip_sbf_alamouti gap limit needs rank >= 2")
-        return float(specfun.harmonic(2 * rank - 1)) - math.log(rank) - 1.0
-    raise ValueError(f"unknown gap scheme {scheme!r}; expected one of {GAP_SCHEMES}")
+
+    rate: object
+    gain_law: object
+    gap_limit: object
+    uses_rank: bool
+    min_rank: int = 1
+
+
+RATE_SCHEMES = {
+    "mc": RateScheme(
+        rate=lambda p: rate_mc(p),
+        gain_law=lambda r: gainlaws.PointMassGain(1.0),
+        gap_limit=None, uses_rank=False),
+    "gauss_sbf": RateScheme(
+        rate=lambda p: rate_sbf_gauss(p),
+        gain_law=lambda r: gainlaws.ExponentialGain(),
+        gap_limit=lambda r: specfun.EULER_GAMMA, uses_rank=False),
+    "ellip_sbf": RateScheme(
+        rate=lambda p: rate_sbf_ellip(p),
+        gain_law=lambda r: gainlaws.elliptic_gain(r),
+        gap_limit=lambda r: float(specfun.harmonic(r - 1)) - math.log(r), uses_rank=True),
+    "gauss_sbf_alamouti": RateScheme(
+        rate=lambda p: rate_sbf_alam_gauss(p),
+        gain_law=lambda r: gainlaws.ChiSquare4Gain(),
+        gap_limit=lambda r: math.log(2.0) + specfun.EULER_GAMMA - 1.0, uses_rank=False),
+    "ellip_sbf_alamouti": RateScheme(
+        rate=lambda p: rate_sbf_alam_ellip(p),
+        gain_law=lambda r: gainlaws.EllipticAlamoutiGain(r),
+        gap_limit=lambda r: float(specfun.harmonic(2 * r - 1)) - math.log(r) - 1.0,
+        uses_rank=True, min_rank=2),
+    "bingham_phi": RateScheme(rate=None, gain_law=None, gap_limit=None, uses_rank=True),
+}
+
+GAP_SCHEMES = tuple(name for name, s in RATE_SCHEMES.items() if s.gap_limit is not None)
+
+
+def _entry(scheme, fact):
+    """A scheme's entry; ValueError when the scheme is unknown or lacks the fact."""
+    entry = RATE_SCHEMES.get(scheme)
+    if getattr(entry, fact, None) is None:
+        raise ValueError(f"no {fact} for scheme {scheme!r}")
+    return entry
+
+
+def gap_limit(scheme, rank=1):
+    """Exact high-power limit of the rate gap C_mc - C_scheme, in nats
+    (the formulas are in RATE_SCHEMES)."""
+    entry = _entry(scheme, "gap_limit")
+    if rank < entry.min_rank:
+        raise ValueError(f"{scheme} gap limit needs rank >= {entry.min_rank}, got {rank}")
+    return entry.gap_limit(rank)
 
 
 def phi_exp_mixture(mix):
@@ -212,17 +260,7 @@ def rate_bingham_user(bp, power):
 
 def gain_law_for_scheme(scheme, rank=1):
     """Normalized-gain law of a scheme (see module docstring for names)."""
-    if scheme == "mc":
-        return gainlaws.PointMassGain(1.0)
-    if scheme == "gauss_sbf":
-        return gainlaws.ExponentialGain()
-    if scheme == "ellip_sbf":
-        return gainlaws.elliptic_gain(rank)
-    if scheme == "gauss_sbf_alamouti":
-        return gainlaws.ChiSquare4Gain()
-    if scheme == "ellip_sbf_alamouti":
-        return gainlaws.EllipticAlamoutiGain(rank)
-    raise ValueError(f"no gain law for scheme {scheme!r}")
+    return _entry(scheme, "gain_law").gain_law(rank)
 
 
 def quadrature_rate_oracle(law, rho, power, tol=1e-10):

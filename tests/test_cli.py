@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sbfmc import cli, rates
+from sbfmc import cli, linksim, rates
 from sbfmc.cli import ConfigError, main, parse_config
 
 
@@ -223,7 +223,10 @@ def test_shipped_configs_parse():
     found = sorted(cfg_dir.glob("*.cfg"))
     assert found
     for path in found:
-        parse_config(path.read_text())
+        cfg = parse_config(path.read_text())
+        for scheme in cfg.schemes:
+            assert scheme in rates.RATE_SCHEMES or scheme in linksim.LINK_SCHEMES, (
+                path.name, scheme)
 
 
 def test_shipped_rates_config_all_certified(tmp_path):
@@ -244,7 +247,8 @@ def test_missing_config_file(tmp_path):
     assert main(["gaps", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
-def test_bad_scheme_reports_input_error(tmp_path):
+@pytest.mark.parametrize("command", ["rates", "gaps", "verify", "ber"])
+def test_bad_scheme_reports_input_error(tmp_path, command):
     p = tmp_path / "bad.cfg"
     p.write_text("schemes = not_a_scheme\n")
-    assert main(["gaps", "--config", str(p)]) == 2
+    assert main([command, "--config", str(p)]) == 2

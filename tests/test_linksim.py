@@ -316,7 +316,7 @@ class TestRateEstimation:
         assert np.all(se == 0.0)
         # fixed pair: combined branch gain enters at half power
         ops = linksim._SchemeOps(cfg)
-        g = ch.channels.conj() @ ops.bf_pair.T
+        g = ch.channels.conj() @ ops.fixed.T
         expected = np.log1p(5.0 * np.sum(np.abs(g) ** 2, axis=1))
         assert np.allclose(est, expected, atol=1e-12)
 
