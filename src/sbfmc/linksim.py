@@ -225,8 +225,7 @@ class _SchemeOps:
 
 
 def _draw_weights(ops, rng, count):
-    """Per-branch (count, N) weights of the scheme's weight law: one branch
-    per slot of the code block."""
+    """Per-branch (count, N) weights of the scheme's weight law."""
     if ops.fixed is not None:
         return tuple(np.repeat(b[None, :], count, axis=0) for b in ops.fixed)
     if ops.link.block_length == 1:
@@ -454,8 +453,7 @@ def _simulate_one_frame(cfg, ops, ch, rng):
     bits = rng.integers(0, 2, frame_bit_count(cfg, ops), dtype=np.uint8)
     x, info = ops.link.encode(cfg, ops, bits, rng)
     h = ch.channels
-    # noise before the product: the other order measured ~0.6 ms slower per
-    # M = 16, T = 1440 frame
+    # noise first: the other order measured ~0.6 ms slower per M = 16, T = 1440 frame
     noise = randn_complex(rng, h.shape[0], cfg.frame_length)
     y = h.conj() @ x + noise  # (M, T)
     detected = ops.link.detect(cfg, ops, h, y, info)

@@ -187,8 +187,7 @@ def _entry(scheme, fact):
 
 
 def gap_limit(scheme, rank=1):
-    """Exact high-power limit of the rate gap C_mc - C_scheme, in nats
-    (the formulas are in RATE_SCHEMES)."""
+    """Exact high-power limit of the rate gap C_mc - C_scheme, in nats."""
     entry = _entry(scheme, "gap_limit")
     if rank < entry.min_rank:
         raise ValueError(f"{scheme} gap limit needs rank >= {entry.min_rank}, got {rank}")
