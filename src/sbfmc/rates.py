@@ -182,7 +182,7 @@ def _entry(scheme, fact):
     """A scheme's entry; ValueError when the scheme is unknown or lacks the fact."""
     entry = RATE_SCHEMES.get(scheme)
     if getattr(entry, fact, None) is None:
-        raise ValueError(f"no {fact} for scheme {scheme!r}")
+        raise ValueError(f"no {fact.replace('_', ' ')} for scheme {scheme!r}")
     return entry
 
 
