@@ -347,6 +347,7 @@ def main(argv=None):
     if args.seed is not None:
         cfg.seed = args.seed
     try:
+        n_workers()  # a malformed SBF_THREADS is an input error for every command
         text, code = _COMMANDS[args.command](cfg)
     except (ConfigError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -9,10 +9,11 @@ transmit covariance.  All users receive the same payload bits (multicast)
 through independent noise.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +26,11 @@ _ML_SEARCH_GUARD = 10**6
 
 def n_workers():
     """Worker cap from the SBF_THREADS environment variable (default 1)."""
+    raw = os.environ.get("SBF_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SBF_THREADS", "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"SBF_THREADS must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,30 @@ class Constellation:
         inv = np.empty(self.size, dtype=np.int64)
         inv[self.labels] = np.arange(self.size)
         return inv
+
+    @functools.cached_property
+    def slicer(self):
+        """Per-axis decision data of a product-grid constellation: the
+        midpoints between the sorted real levels, the same for the imaginary
+        levels, and the (n_re, n_im) table from a level pair to its point
+        index.  Raises ValueError when the points do not fill such a grid
+        one-to-one (an 8-PSK, say)."""
+        re_mids = _level_midpoints(self.points.real)
+        im_mids = _level_midpoints(self.points.imag)
+        table = np.full((len(re_mids) + 1, len(im_mids) + 1), -1, dtype=np.int64)
+        table[np.searchsorted(re_mids, self.points.real),
+              np.searchsorted(im_mids, self.points.imag)] = np.arange(self.size)
+        if table.size != self.size or (table < 0).any():
+            raise ValueError(f"{self.name}: points do not form a product grid of per-axis levels")
+        return re_mids, im_mids, table
+
+
+def _level_midpoints(x):
+    """Midpoints between the sorted distinct values of x; values less than
+    1e-9 apart (rounding, in a unit-energy constellation) are one level."""
+    v = np.unique(x)
+    levels = v[np.diff(v, prepend=-np.inf) > 1e-9]
+    return (levels[1:] + levels[:-1]) / 2
 
 
 _GRAY2 = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
@@ -195,7 +221,6 @@ class SimResult:
     bits_simulated: int
     seed: SeededStream
     worst_user_stderr: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 class _SchemeOps:
@@ -234,10 +259,27 @@ def _draw_weights(ops, rng, count):
 
 
 def _nearest_point(values, scale, constellation):
-    """Nearest constellation point of values/scale, scale-robust: uses the
-    direct metric |values - scale * point|^2."""
-    diff = values[:, None] - scale[:, None] * constellation.points[None, :]
-    return np.argmin(np.abs(diff) ** 2, axis=1)
+    """Index of the point p minimising |values - scale * p|^2, entry by entry.
+
+    On a product grid this is the nearest level of values/scale on each axis,
+    decided without dividing: with u = values * conj(scale) and
+    e = |scale|^2, the real level index counts the midpoints m with
+    Re(u) > e * m, and likewise on the imaginary axis.  A value exactly on a
+    midpoint takes the lower level (ties have probability zero).  Where
+    scale == 0 every point is equally far, and point 0 is returned.
+    """
+    re_mids, im_mids, table = constellation.slicer
+    u = values * np.conj(scale)
+    e = np.abs(scale) ** 2
+    i_re = np.zeros(len(u), dtype=np.intp)
+    for m in re_mids:
+        i_re += u.real > e * m
+    i_im = np.zeros(len(u), dtype=np.intp)
+    for m in im_mids:
+        i_im += u.imag > e * m
+    idx = table[i_re, i_im]
+    idx[e == 0] = 0
+    return idx
 
 
 def _all_tuples(n_symbols, size):
@@ -489,14 +531,7 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
     ber = errors / total_bits
     worst = float(ber.max())
     stderr = math.sqrt(max(worst * (1.0 - worst), 0.0) / total_bits)
-    diagnostics = {}
-    if ops.link.weights is None:
-        g = ch.channels.conj() @ ops.root  # (M, d)
-        p_stream = np.abs(g) ** 2
-        diagnostics["interference_fraction"] = (
-            1.0 - p_stream.max(axis=1) / p_stream.sum(axis=1)
-        )
-    return SimResult(ber, worst, total_bits, stream, stderr, diagnostics)
+    return SimResult(ber, worst, total_bits, stream, stderr)
 
 
 # ---------------------------------------------------------------------------

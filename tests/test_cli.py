@@ -252,3 +252,11 @@ def test_bad_scheme_reports_input_error(tmp_path, command):
     p = tmp_path / "bad.cfg"
     p.write_text("schemes = not_a_scheme\n")
     assert main([command, "--config", str(p)]) == 2
+
+
+@pytest.mark.parametrize("command, config", [("ber", TestBer.CFG), ("gaps", "power_db = 0, 10\n")])
+def test_malformed_sbf_threads_reports_input_error(tmp_path, monkeypatch, capsys, command, config):
+    assert run_cli(tmp_path, command, config)[0] == 0
+    monkeypatch.setenv("SBF_THREADS", "abc")
+    assert run_cli(tmp_path, command, config, name="bad.cfg")[0] == 2
+    assert "SBF_THREADS" in capsys.readouterr().err

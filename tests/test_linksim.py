@@ -8,6 +8,7 @@ from scipy.stats import kstest, kstwobign
 from sbfmc import capacity, linksim, rates, sampling
 from sbfmc.capacity import CovarianceMatrix
 from sbfmc.linksim import (
+    Constellation,
     SchemeConfig,
     alamouti_combine,
     alamouti_encode,
@@ -67,6 +68,53 @@ class TestConstellations:
             for a, b in zip(idx_tx, flipped)
         )
         assert count_bit_errors(idx_tx, flipped, QPSK) == total
+
+
+class TestSlicer:
+    """The per-axis slicer behind the six beamformed schemes' detection.
+
+    linksim._nearest_point must return argmin_k |z - c p_k|^2.  Tie rule: a
+    value exactly on a midpoint between two levels takes the lower level;
+    such ties have probability zero and the draws below hit none.
+    """
+
+    @pytest.mark.parametrize("con", [
+        BPSK, QPSK, QAM16,
+        # a QPSK whose levels differ in the last bits
+        Constellation("polar", np.exp(1j * np.pi / 4 * np.arange(1, 8, 2)), np.arange(4)),
+    ])
+    def test_matches_brute_force_metric(self, con):
+        rng = SeededStream(9, 0).generator()
+        n = 20000
+        scale = 10 ** rng.uniform(-8, 3, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        scale[::2] = np.abs(scale[::2])  # Alamouti combining gives real gains
+        sent = con.points[rng.integers(0, con.size, n)]
+        z = scale * (sent + rng.uniform(0, 1.5, n) * sampling.randn_complex(rng, n))
+        brute = np.argmin(np.abs(z[:, None] - scale[:, None] * con.points) ** 2, axis=1)
+        assert np.array_equal(linksim._nearest_point(z, scale, con), brute)
+
+    @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16])
+    def test_zero_scale_gives_point_zero(self, con):
+        z = sampling.randn_complex(SeededStream(9, 1).generator(), 6)
+        scale = np.array([0, 1, 0, 1j, 0, 2], dtype=complex)
+        det = linksim._nearest_point(z, scale, con)
+        assert np.all(det[scale == 0] == 0)
+
+    @pytest.mark.parametrize("points", [
+        np.exp(2j * np.pi * np.arange(8) / 8),  # 8-PSK: not n_re * n_im points
+        np.array([1 + 1j, 1 + 1j, -1 - 1j, -1 + 1j]) / math.sqrt(2),  # two in one cell
+    ])
+    def test_non_grid_constellation_refused(self, points):
+        con = Constellation("handmade", points, np.arange(len(points)))
+        with pytest.raises(ValueError, match="handmade"):
+            con.slicer
+        ch = single_user_channel()
+        cfg = SchemeConfig("bf", RANK4_COV, con, 1.0, 8)
+        with pytest.raises(ValueError, match="handmade"):
+            simulate_worst_user_ber(cfg, ch, 1, SeededStream(9, 2))
+        # the precoded schemes search exhaustively and take any constellation
+        cfg = SchemeConfig("precoded_sm", RANK4_COV, con, 1.0, 8)
+        assert simulate_worst_user_ber(cfg, ch, 1, SeededStream(9, 3)).bits_simulated > 0
 
 
 class TestAlamouti:
