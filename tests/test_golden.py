@@ -52,6 +52,14 @@ SIM_CASES = [(scheme, "qpsk") for scheme in linksim.SCHEMES] + [("precoded_qostb
 
 SIM_DIGEST = "fdbe7237a31e2f9cc975157d71f76cbc49169710d5804dc9761cafdb1f3f1e99"
 
+# precoded_sm on 16-QAM over a rank-3 W*: 16^3 = 4096 candidates per slot,
+# the size of the benchmark's ML search; 30 and 40 dB give errors from
+# many to few
+RANK3_COV = CovarianceMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex))
+RANK3_POWERS = (1e3, 1e4)
+
+SM_RANK3_DIGEST = "f959ad89f04fa14a9db95ecba4ee8f017fcc12a957789449acc6132c76b82851"
+
 
 def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -75,3 +83,14 @@ def test_simulator_error_count_digest():
         errors = [int(round(b * res.bits_simulated)) for b in res.per_user_ber]
         lines.append(f"{scheme},{con_name},{res.bits_simulated},{errors}")
     assert sha256("\n".join(lines)) == SIM_DIGEST
+
+
+def test_precoded_sm_rank3_error_count_digest():
+    ch = sample_channel_set(4, 5, SeededStream(13, 0))
+    lines = []
+    for k, power in enumerate(RANK3_POWERS):
+        cfg = SchemeConfig("precoded_sm", RANK3_COV, make_constellation("qam16"), power, 144)
+        res = simulate_worst_user_ber(cfg, ch, 2, SeededStream(13, 1 + k))
+        errors = [int(round(b * res.bits_simulated)) for b in res.per_user_ber]
+        lines.append(f"{power},{res.bits_simulated},{errors}")
+    assert sha256("\n".join(lines)) == SM_RANK3_DIGEST
