@@ -3,8 +3,7 @@
 
     python benchmarks/bench_kernels.py [--repeat 5]
 
-Covers the two hot paths: exponential-integral evaluation over parameter
-grids and nearest-candidate exhaustive ML detection.
+Covers exponential-integral evaluation over parameter grids.
 """
 
 import argparse
@@ -56,35 +55,6 @@ def main():
         lambda: (grid,),
         [("python", _kernels_py.e1_array),
          ("cython", None if _compiled is None else _compiled.e1_array)],
-        args.repeat,
-    )
-
-    # 16-QAM spatial multiplexing scale: 65536 candidates, scalar observations
-    y_sm = np.ascontiguousarray(
-        rng.standard_normal((720, 1)) + 1j * rng.standard_normal((720, 1))
-    )
-    cand_sm = np.ascontiguousarray(
-        rng.standard_normal((65536, 1)) + 1j * rng.standard_normal((65536, 1))
-    )
-    bench(
-        "min_dist_detect, 720 blocks x 65536 candidates (16-QAM SM scale)",
-        lambda: (y_sm, cand_sm),
-        [("python", _kernels_py.min_dist_detect),
-         ("cython", None if _compiled is None else _compiled.min_dist_detect)],
-        args.repeat,
-    )
-
-    y_q = np.ascontiguousarray(
-        rng.standard_normal((10_000, 4)) + 1j * rng.standard_normal((10_000, 4))
-    )
-    cand_q = np.ascontiguousarray(
-        rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4))
-    )
-    bench(
-        "min_dist_detect, 1e4 blocks x 256 candidates (QPSK QOSTBC scale)",
-        lambda: (y_q, cand_q),
-        [("python", _kernels_py.min_dist_detect),
-         ("cython", None if _compiled is None else _compiled.min_dist_detect)],
         args.repeat,
     )
 

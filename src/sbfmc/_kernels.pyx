@@ -1,6 +1,6 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled hot kernels: exponential integral E1 and exhaustive nearest-
-candidate detection.  Signatures match sbfmc._kernels_py."""
+"""Compiled exponential-integral (E1) kernels.  Signatures match
+sbfmc._kernels_py."""
 
 import numpy as np
 
@@ -92,40 +92,3 @@ def e1_scaled_array(x):
         out[i] = _e1_scaled(xv[i])
     return out
 
-
-def min_dist_detect(y, cand, chunk=None):
-    """Index of the closest candidate row for every observation row.
-
-    Parameters
-    ----------
-    y : (B, L) complex array of observations.
-    cand : (K, L) complex array of noiseless candidates.
-
-    Returns
-    -------
-    (B,) int64 array with argmin_k sum_j |y[b, j] - cand[k, j]|^2.
-    """
-    cdef cnp.ndarray[cnp.complex128_t, ndim=2] yv = np.ascontiguousarray(y, dtype=np.complex128)
-    cdef cnp.ndarray[cnp.complex128_t, ndim=2] cv = np.ascontiguousarray(cand, dtype=np.complex128)
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] out = np.empty(yv.shape[0], dtype=np.int64)
-    cdef Py_ssize_t B = yv.shape[0]
-    cdef Py_ssize_t L = yv.shape[1]
-    cdef Py_ssize_t K = cv.shape[0]
-    cdef Py_ssize_t b, k, l
-    cdef double best, metric, dre, dim
-    cdef Py_ssize_t best_k
-    with nogil:
-        for b in range(B):
-            best = -1.0
-            best_k = 0
-            for k in range(K):
-                metric = 0.0
-                for l in range(L):
-                    dre = yv[b, l].real - cv[k, l].real
-                    dim = yv[b, l].imag - cv[k, l].imag
-                    metric += dre * dre + dim * dim
-                if best < 0.0 or metric < best:
-                    best = metric
-                    best_k = k
-            out[b] = best_k
-    return out

@@ -78,29 +78,3 @@ def e1_scaled_array(x):
         out[i] = e1_scaled(x[i])
     return out
 
-
-def min_dist_detect(y, cand, chunk=1 << 22):
-    """Index of the closest candidate row for every observation row.
-
-    Parameters
-    ----------
-    y : (B, L) complex array of observations.
-    cand : (K, L) complex array of noiseless candidates.
-
-    Returns
-    -------
-    (B,) int64 array with argmin_k sum_j |y[b, j] - cand[k, j]|^2.
-    """
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    cand = np.ascontiguousarray(cand, dtype=np.complex128)
-    B, L = y.shape
-    K = cand.shape[0]
-    out = np.empty(B, dtype=np.int64)
-    # chunk over observations so the (b, K, L) intermediate stays bounded
-    rows = max(1, int(chunk // max(1, K * L)))
-    for start in range(0, B, rows):
-        stop = min(B, start + rows)
-        diff = y[start:stop, None, :] - cand[None, :, :]
-        metric = np.einsum("bkl,bkl->bk", diff, diff.conj()).real
-        out[start:stop] = np.argmin(metric, axis=1)
-    return out

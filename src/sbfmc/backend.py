@@ -21,7 +21,6 @@ e1 = _impl.e1
 e1_scaled = _impl.e1_scaled
 e1_array = _impl.e1_array
 e1_scaled_array = _impl.e1_scaled_array
-min_dist_detect = _impl.min_dist_detect
 
 
 def backend_name():

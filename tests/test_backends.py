@@ -26,18 +26,3 @@ def test_scalar_paths():
     for x in (1e-5, 0.5, 1.0, 1.0000001, 30.0, 800.0):
         assert compiled.e1_scaled(x) == pytest.approx(_kernels_py.e1_scaled(x), rel=1e-15)
 
-
-def test_min_dist_detect_agreement():
-    rng = np.random.Generator(np.random.Philox(key=[77, 0]))
-    y = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
-    cand = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
-    assert np.array_equal(
-        compiled.min_dist_detect(y, cand), _kernels_py.min_dist_detect(y, cand)
-    )
-
-
-def test_min_dist_detect_known_answer():
-    cand = np.array([[0.0 + 0j], [1.0 + 0j], [0 + 1.0j]])
-    y = np.array([[0.1 + 0j], [0.9 + 0.05j], [0.1 + 1.2j]])
-    for impl in (compiled, _kernels_py):
-        assert impl.min_dist_detect(y, cand).tolist() == [0, 1, 2]

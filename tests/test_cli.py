@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sbfmc
 from sbfmc import cli, linksim, rates
 from sbfmc.cli import ConfigError, main, parse_config
 
@@ -260,3 +265,14 @@ def test_malformed_sbf_threads_reports_input_error(tmp_path, monkeypatch, capsys
     monkeypatch.setenv("SBF_THREADS", "abc")
     assert run_cli(tmp_path, command, config, name="bad.cfg")[0] == 2
     assert "SBF_THREADS" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the k-d tree of the ML search is imported on first use: scipy.spatial
+    # would add ~30% to the import time of every command
+    src = str(pathlib.Path(sbfmc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, sbfmc.cli; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -251,6 +251,65 @@ class TestMlDetect:
             ml_detect_exhaustive(np.zeros(8, complex), eff, QAM16, 8)
 
 
+def brute_force_nearest(y, cand):
+    """argmin_k sum_j |y[b, j] - cand[k, j]|^2 over the full distance table."""
+    return np.argmin((np.abs(y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+def sm_candidates(g, power):
+    """(16^d, 1) noiseless 16-QAM SM observations for the stream gains g."""
+    tuples = linksim._all_tuples(len(g), QAM16.size)
+    return math.sqrt(power) * (QAM16.points[tuples] @ g)[:, None]
+
+
+def qostbc_candidates(g, constellation, pair):
+    """(K, 4) noiseless QOSTBC blocks: all 4-tuples, or the {s1, s4} pairs."""
+    tuples = linksim._all_tuples(2 if pair else 4, constellation.size)
+    sym = constellation.points[tuples]
+    if pair:
+        zeros = np.zeros(len(tuples), dtype=complex)
+        sym = np.stack([sym[:, 0], zeros, zeros, sym[:, 1]], axis=1)
+    return np.einsum("j,bjt->bt", g.conj(), linksim._qostbc_encode_batch(sym))
+
+
+class TestNearestCandidate:
+    @pytest.mark.parametrize("case, shape", [("sm_qam16_rank3", (4096, 1)),
+                                             ("qostbc_qpsk_full", (256, 4)),
+                                             ("qostbc_qam16_pair", (256, 4))])
+    def test_matches_brute_force(self, case, shape):
+        rng = SeededStream(21, 0).generator()
+        if case == "sm_qam16_rank3":
+            cand = sm_candidates(sampling.randn_complex(rng, 3), 100.0)
+        else:
+            cand = qostbc_candidates(sampling.randn_complex(rng, 4),
+                                     QPSK if case == "qostbc_qpsk_full" else QAM16,
+                                     pair=case == "qostbc_qam16_pair")
+        assert cand.shape == shape
+        sent = rng.integers(0, shape[0], 1000)
+        y = cand[sent] + sampling.randn_complex(rng, 1000, shape[1])
+        got = linksim._nearest_candidate(y, cand)
+        assert np.array_equal(got, brute_force_nearest(y, cand))
+        assert 0 < np.mean(got != sent) < 1  # the noise makes some decisions wrong
+
+    def test_repeated_rows_take_lowest_index(self):
+        cand = np.array([[1.0], [0.0], [1.0], [0.0], [2.0]], dtype=complex)
+        y = np.array([[0.9], [0.1j], [2.2], [1.1 - 0.1j]])
+        assert linksim._nearest_candidate(y, cand).tolist() == [0, 1, 4, 0]
+
+    def test_zero_stream_gain_matches_brute_force(self):
+        # a zero entry of B^H h makes 16 tuples share every candidate point
+        rng = SeededStream(21, 1).generator()
+        cand = sm_candidates(np.array([1.0 + 0.5j, 0.0, -0.3 + 1.0j]), 16.0)
+        assert len(np.unique(cand)) == 256
+        y = cand[rng.integers(0, len(cand), 2000)] + sampling.randn_complex(rng, 2000, 1)
+        assert np.array_equal(linksim._nearest_candidate(y, cand), brute_force_nearest(y, cand))
+
+    def test_known_answer(self):
+        cand = np.array([[0.0 + 0j], [1.0 + 0j], [0 + 1.0j]])
+        y = np.array([[0.1 + 0j], [0.9 + 0.05j], [0.1 + 1.2j]])
+        assert linksim._nearest_candidate(y, cand).tolist() == [0, 1, 2]
+
+
 class TestFrames:
     @pytest.mark.parametrize("scheme", linksim.SCHEMES)
     def test_transmit_power(self, scheme):
