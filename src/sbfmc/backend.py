@@ -1,28 +1,11 @@
-"""Selects the kernel implementation at import time.
+"""Name of the numeric implementation, recorded by the benchmark harness.
 
-The compiled extension is used when it imports cleanly; otherwise the pure
-numpy fallback takes over.  Set ``SBFMC_PURE_PY=1`` to force the fallback
-(useful for the kernel benchmark and for debugging).
+The package has one implementation, plain Python and numpy, so there is
+nothing to select. This stub stays until the harness stops reading it
+(ROADMAP item 2); no module of the package calls it.
 """
-
-import os
-
-from . import _kernels_py
-
-if os.environ.get("SBFMC_PURE_PY", "") not in ("", "0"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl
-    except ImportError:
-        _impl = _kernels_py
-
-e1 = _impl.e1
-e1_scaled = _impl.e1_scaled
-e1_array = _impl.e1_array
-e1_scaled_array = _impl.e1_scaled_array
 
 
 def backend_name():
-    """Name of the active kernel implementation ("cython" or "python")."""
-    return _impl.BACKEND
+    """Name of the implementation that runs: always "python"."""
+    return "python"

@@ -102,10 +102,18 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: bad value for {key}: {ex}") from ex
     if not cfg.power_db:
         raise ConfigError("power_db must be non-empty")
+    if not all(math.isfinite(p) for p in cfg.power_db):
+        raise ConfigError("power_db entries must be finite")
     if sorted(cfg.power_db) != cfg.power_db:
         raise ConfigError("power_db must be sorted ascending")
     if cfg.n < 1 or cfg.m < 1 or cfg.rank < 1:
         raise ConfigError("n, m and rank must be >= 1")
+    if cfg.n_realizations < 1 or cfg.solver_max_iter < 1:
+        raise ConfigError("n_realizations and solver_max_iter must be >= 1")
+    if not (math.isfinite(cfg.solver_tol) and cfg.solver_tol > 0.0):
+        raise ConfigError("solver_tol must be a finite positive number")
+    if cfg.frame_length < 0:
+        raise ConfigError("frame_length must be >= 0 (0 = constellation default)")
     return cfg
 
 

@@ -12,15 +12,62 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import backend
-
 #: Euler-Mascheroni constant to double precision.
 EULER_GAMMA = 0.57721566490153286061
+
+_SERIES_MAX_TERMS = 60
+_CF_MAX_ITERS = 300
+_TINY = 1e-300
 
 
 def euler_gamma():
     """The Euler-Mascheroni constant gamma."""
     return EULER_GAMMA
+
+
+def _e1_series(x):
+    """E1 on (0, 1] via the alternating power series around 0."""
+    total = -EULER_GAMMA - np.log(x)
+    term = 1.0
+    for k in range(1, _SERIES_MAX_TERMS):
+        term *= -x / k
+        delta = -term / k
+        total += delta
+        if abs(delta) < 1e-18 * max(abs(total), 1e-30):
+            break
+    return total
+
+
+def _e1_cf_scaled(x):
+    """exp(x)*E1(x) for x > 1 via the modified Lentz continued fraction."""
+    b = x + 1.0
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _CF_MAX_ITERS):
+        a = -i * i
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h
+
+
+def _e1(x):
+    """E1(x) for a float x > 0."""
+    if x <= 1.0:
+        return _e1_series(x)
+    return _e1_cf_scaled(x) * np.exp(-x)
+
+
+def _e1_scaled(x):
+    """exp(x)*E1(x) for a float x > 0."""
+    if x <= 1.0:
+        return np.exp(x) * _e1_series(x)
+    return _e1_cf_scaled(x)
 
 
 def exp_integral_e1(x):
@@ -34,11 +81,11 @@ def exp_integral_e1(x):
         x = float(x)
         if not x > 0.0:
             raise ValueError(f"E1 requires x > 0, got {x}")
-        return backend.e1(x)
+        return _e1(x)
     x = np.asarray(x, dtype=np.float64)
     if not np.all(x > 0.0):
         raise ValueError("E1 requires x > 0")
-    return backend.e1_array(x.ravel()).reshape(x.shape)
+    return np.array([_e1(float(v)) for v in x.flat]).reshape(x.shape)
 
 
 def exp_e1_scaled(x):
@@ -51,11 +98,11 @@ def exp_e1_scaled(x):
         x = float(x)
         if not x > 0.0:
             raise ValueError(f"scaled E1 requires x > 0, got {x}")
-        return backend.e1_scaled(x)
+        return _e1_scaled(x)
     x = np.asarray(x, dtype=np.float64)
     if not np.all(x > 0.0):
         raise ValueError("scaled E1 requires x > 0")
-    return backend.e1_scaled_array(x.ravel()).reshape(x.shape)
+    return np.array([_e1_scaled(float(v)) for v in x.flat]).reshape(x.shape)
 
 
 def upper_incomplete_gamma_nonpos(alpha, x):

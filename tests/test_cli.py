@@ -259,6 +259,23 @@ def test_bad_scheme_reports_input_error(tmp_path, command):
     assert main([command, "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "n_realizations = 0", "n_realizations = -2",
+    "solver_tol = 0", "solver_tol = -1", "solver_tol = nan", "solver_tol = inf",
+    "solver_max_iter = 0",
+    "power_db = nan", "power_db = 0, inf", "power_db = -inf, 10",
+    "frame_length = -1",
+])
+def test_out_of_range_value_reports_input_error(tmp_path, capsys, line):
+    # each of these once ran and printed nan or noconv rows, or failed deep
+    # inside a command; they are now rejected before any work is done
+    with pytest.raises(ConfigError):
+        parse_config(line + "\n")
+    code, text = run_cli(tmp_path, "rates", f"m = 2\nn_realizations = 1\n{line}\n")
+    assert (code, text) == (2, "")
+    assert line.split(" =")[0] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, config", [("ber", TestBer.CFG), ("gaps", "power_db = 0, 10\n")])
 def test_malformed_sbf_threads_reports_input_error(tmp_path, monkeypatch, capsys, command, config):
     assert run_cli(tmp_path, command, config)[0] == 0
