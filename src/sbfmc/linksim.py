@@ -21,6 +21,8 @@ from .capacity import CovarianceMatrix
 from .sampling import SeededStream, WeightSampler, psd_sqrt, randn_complex
 
 _ML_SEARCH_GUARD = 10**6
+# weight draws per step of estimate_user_rates_mc, which bounds its memory
+_MC_CHUNK = 1 << 16
 
 
 def n_workers():
@@ -323,57 +325,25 @@ def _nearest_candidate(y, cand):
     return keep[cKDTree(cand[keep]).query(y, eps=0)[1]]
 
 
-def ml_detect_exhaustive(y, eff_channel, constellation, n_symbols):
-    """Exact ML detection by exhaustive search.
-
-    Parameters
-    ----------
-    y : (L,) or (B, L) received vector(s).
-    eff_channel : callable mapping (n_cand, n_symbols) symbol values to
-        (n_cand, L) noiseless received vectors (linear or conjugate-linear).
-    constellation, n_symbols : symbol alphabet and tuple length; the search
-        space |constellation|^n_symbols is capped at 1e6.
-
-    Returns the detected symbol-index tuples, shape (n_symbols,) or
-    (B, n_symbols).
-    """
-    tuples = _all_tuples(n_symbols, constellation.size)
-    cand = np.asarray(eff_channel(constellation.points[tuples]))
-    y = np.asarray(y, dtype=np.complex128)
-    single = y.ndim == 1
-    yb = y[None, :] if single else y
-    out = tuples[_nearest_candidate(yb, cand)]
-    return out[0] if single else out
-
-
-def detect_qostbc(y_blocks, g, constellation, power, mode="auto"):
-    """ML detection of quasi-orthogonal blocks.
+def detect_qostbc(y_blocks, g, constellation, power):
+    """Exact ML detection of quasi-orthogonal blocks by pair decoupling.
 
     y_blocks : (B, 4) received slots per block for one user.
     g : (4,) effective stream channel B^H h.
-    mode : "full" enumerates all |C|^4 tuples; "pair" exploits the exact
-        decoupling of the code's metric into the symbol pairs {s1, s4} and
-        {s2, s3}; "auto" uses full search only for tiny alphabets.
+
+    The code's ML metric splits exactly into a term in the symbol pair
+    {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun.,
+    2001), so each pair is decided on its own over |C|^2 candidates.
 
     Returns (B, 4) detected symbol indices.
     """
-    size = constellation.size
-    if mode == "auto":
-        mode = "full" if size**4 <= 4096 else "pair"
-    gc = g.conj()
-    sp = math.sqrt(power)
-    if mode == "full":
-        tuples = _all_tuples(4, size)
-        blocks = _qostbc_encode_batch(constellation.points[tuples])
-        cand = sp * np.einsum("j,bjt->bt", gc, blocks)
-        return tuples[_nearest_candidate(y_blocks, cand)]
-    if mode != "pair":
-        raise ValueError(f"bad detection mode {mode!r}")
-    pair_tuples = _all_tuples(2, size)
+    pair_tuples = _all_tuples(2, constellation.size)
     pts = constellation.points[pair_tuples]
     zeros = np.zeros(len(pair_tuples), dtype=np.complex128)
     s14 = np.stack([pts[:, 0], zeros, zeros, pts[:, 1]], axis=1)
     s23 = np.stack([zeros, pts[:, 0], pts[:, 1], zeros], axis=1)
+    gc = g.conj()
+    sp = math.sqrt(power)
     cand14 = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s14))
     cand23 = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s23))
     best14 = pair_tuples[_nearest_candidate(y_blocks, cand14)]
@@ -511,8 +481,7 @@ def transmit_frame(cfg, bits, stream):
     expected = frame_bit_count(cfg, ops)
     if bits.size != expected:
         raise ValueError(f"expected {expected} bits, got {bits.size}")
-    rng = stream.generator() if isinstance(stream, SeededStream) else stream
-    return ops.link.encode(cfg, ops, bits, rng)[0]
+    return ops.link.encode(cfg, ops, bits, stream.generator())[0]
 
 
 def _simulate_one_frame(cfg, ops, ch, rng):
@@ -568,7 +537,7 @@ def _mean_branch_gain(weights, h):
     return sum(np.abs(w @ h.conj().T) ** 2 for w in weights) / len(weights)
 
 
-def estimate_user_rates_mc(cfg, ch, n_samples, stream, chunk=1 << 16):
+def estimate_user_rates_mc(cfg, ch, n_samples, stream):
     """Per-user empirical ergodic rates E[log(1 + P |h^H w|^2)] (or the
     Alamouti-gain analog) with standard errors; the minimum over users
     estimates the multicast rate.
@@ -586,13 +555,13 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream, chunk=1 << 16):
     if ops.fixed is not None:
         rate = np.log1p(p * _mean_branch_gain(_draw_weights(ops, None, 1), h)[0])
         return rate, np.zeros_like(rate)
-    rng = stream.generator() if isinstance(stream, SeededStream) else stream
+    rng = stream.generator()
     m = h.shape[0]
     acc = np.zeros(m)
     acc2 = np.zeros(m)
     done = 0
     while done < n_samples:
-        n = min(chunk, n_samples - done)
+        n = min(_MC_CHUNK, n_samples - done)
         vals = np.log1p(p * _mean_branch_gain(_draw_weights(ops, rng, n), h))
         acc += vals.sum(axis=0)
         acc2 += (vals**2).sum(axis=0)

@@ -77,12 +77,38 @@ def rate_sbf_gauss(p):
     return specfun.exp_e1_scaled(1.0 / beta)
 
 
-def _bracket(beta, n):
-    """log(1 + beta) - H_n - sum_{k=1}^n C(n,k) (-1)^k / (k (1+beta)^k)."""
-    total = math.log1p(beta) - float(specfun.harmonic(n))
+# fewer than about 8 significant digits of the bracket survive when its
+# largest term exceeds its value by more than this factor
+_BRACKET_MAX_CANCELLATION = 1e8
+
+
+def _bracket(beta, n, p):
+    """log(1 + beta) - H_n - sum_{k=1}^n C(n,k) (-1)^k / (k (1+beta)^k).
+
+    The sum alternates and cancels at high n and low beta.  Raises
+    ValueError, naming the rank and power of the scheme parameters p, when
+    a term overflows or when the largest term exceeds the result by more
+    than _BRACKET_MAX_CANCELLATION.
+    """
+    log_term = math.log1p(beta)
+    harmonic = float(specfun.harmonic(n))
+    total = log_term - harmonic
+    largest = max(abs(log_term), harmonic)
     base = 1.0 + beta
-    for k in range(1, n + 1):
-        total -= math.comb(n, k) * (-1) ** k / (k * base**k)
+    try:
+        for k in range(1, n + 1):
+            term = math.comb(n, k) * (-1) ** k / (k * base**k)
+            total -= term
+            largest = max(largest, abs(term))
+    except OverflowError:
+        raise ValueError(
+            f"elliptic closed form overflows at rank {p.rank}, power {p.power:g}"
+        ) from None
+    if largest > _BRACKET_MAX_CANCELLATION * abs(total):
+        raise ValueError(
+            f"elliptic closed form cancels at rank {p.rank}, power {p.power:g}: "
+            f"largest term {largest:.3g}, result {total:.3g}"
+        )
     return total
 
 
@@ -98,7 +124,9 @@ def rate_sbf_ellip(p):
     beta = p.rank * p.rho_min * p.power
     if beta == 0.0:
         return 0.0
-    return (1.0 + 1.0 / beta) ** (p.rank - 1) * _bracket(beta, p.rank - 1)
+    # the bracket goes first: the prefactor overflows only where it cancels
+    bracket = _bracket(beta, p.rank - 1, p)
+    return (1.0 + 1.0 / beta) ** (p.rank - 1) * bracket
 
 
 def rate_sbf_alam_gauss(p):
@@ -119,8 +147,11 @@ def rate_sbf_alam_ellip(p):
     beta = r * p.rho_min * p.power
     if beta == 0.0:
         return 0.0
-    c1 = (2 * r - 1) * (1.0 + 1.0 / beta) ** (2 * r - 2) * _bracket(beta, 2 * r - 2)
-    c2 = (2 * r - 2) * (1.0 + 1.0 / beta) ** (2 * r - 1) * _bracket(beta, 2 * r - 1)
+    # the brackets go first: the prefactors overflow only where they cancel
+    b1 = _bracket(beta, 2 * r - 2, p)
+    b2 = _bracket(beta, 2 * r - 1, p)
+    c1 = (2 * r - 1) * (1.0 + 1.0 / beta) ** (2 * r - 2) * b1
+    c2 = (2 * r - 2) * (1.0 + 1.0 / beta) ** (2 * r - 1) * b2
     return c1 - c2
 
 

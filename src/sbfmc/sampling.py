@@ -57,10 +57,6 @@ class ChannelSet:
             raise ValueError("all-zero channel")
 
     @property
-    def n_users(self):
-        return self.channels.shape[0]
-
-    @property
     def n_antennas(self):
         return self.channels.shape[1]
 
@@ -136,22 +132,6 @@ class WeightSampler:
         if self.scheme == "ellip_sbf":
             g = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(2 * self.rank)
         return g[:, : self.rank] @ self.root.T, g[:, self.rank :] @ self.root.T
-
-
-def sample_gauss_sbf_weight(ws, stream_or_rng, size=None):
-    """Gaussian SBF weight draw(s); see WeightSampler."""
-    if ws.scheme != "gauss_sbf":
-        raise ValueError(f"sampler scheme is {ws.scheme!r}, not gauss_sbf")
-    rng = stream_or_rng.generator() if isinstance(stream_or_rng, SeededStream) else stream_or_rng
-    return ws.sample(rng, size)
-
-
-def sample_ellip_sbf_weight(ws, stream_or_rng, size=None):
-    """Elliptic SBF weight draw(s); see WeightSampler."""
-    if ws.scheme != "ellip_sbf":
-        raise ValueError(f"sampler scheme is {ws.scheme!r}, not ellip_sbf")
-    rng = stream_or_rng.generator() if isinstance(stream_or_rng, SeededStream) else stream_or_rng
-    return ws.sample(rng, size)
 
 
 def sample_effective_gain(law, stream_or_rng, size=None):

@@ -20,11 +20,6 @@ _CF_MAX_ITERS = 300
 _TINY = 1e-300
 
 
-def euler_gamma():
-    """The Euler-Mascheroni constant gamma."""
-    return EULER_GAMMA
-
-
 def _e1_series(x):
     """E1 on (0, 1] via the alternating power series around 0."""
     total = -EULER_GAMMA - np.log(x)

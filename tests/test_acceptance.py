@@ -300,15 +300,19 @@ def test_criterion_10_link_simulator():
         a_devs.append(abs(res.worst_user_ber - analytic) / se)
         part_a &= a_devs[-1] <= 3.0
 
-    # (b) pair-decoupled vs full exhaustive ML on 1e4 noisy BPSK blocks
+    # (b) pair-decoupled ML vs an argmin over all 2^4 noiseless BPSK blocks,
+    # on 1e4 noisy ones
     rng = SeededStream(1010, 2).generator()
     g = sampling.randn_complex(rng, 4)
     tuples = rng.integers(0, 2, (10**4, 4))
     blocks = linksim._qostbc_encode_batch(BPSK.points[tuples])
     y = np.einsum("j,bjt->bt", g.conj(), blocks) + sampling.randn_complex(rng, 10**4, 4)
-    mismatches = int(
-        np.sum(detect_qostbc(y, g, BPSK, 1.0, "pair") != detect_qostbc(y, g, BPSK, 1.0, "full"))
-    )
+    all_tuples = linksim._all_tuples(4, BPSK.size)
+    cand = np.einsum("j,bjt->bt", g.conj(),
+                     linksim._qostbc_encode_batch(BPSK.points[all_tuples]))
+    dist = (np.abs(y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
+    det_full = all_tuples[np.argmin(dist, axis=1)]
+    mismatches = int(np.sum(detect_qostbc(y, g, BPSK, 1.0) != det_full))
     part_b = mismatches == 0
 
     # (c) Fig.2-style qualitative checks for the uncoded analog, over 20

@@ -276,6 +276,18 @@ def test_out_of_range_value_reports_input_error(tmp_path, capsys, line):
     assert line.split(" =")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank, power_db, fault", [(200, 10, "overflows"), (40, -20, "cancels")])
+def test_unevaluable_elliptic_closed_form_reports_input_error(tmp_path, capsys, rank, power_db,
+                                                             fault):
+    # the alternating sum of the elliptic closed form overflowed (a traceback,
+    # exit 1) or cancelled to a printed gap of -1.14e12 against a true 0.0099
+    code, text = run_cli(tmp_path, "gaps",
+                         f"schemes = ellip_sbf\nrank = {rank}\npower_db = {power_db}\n")
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert fault in err and f"rank {rank}" in err and f"power {10 ** (power_db / 10):g}" in err
+
+
 @pytest.mark.parametrize("command, config", [("ber", TestBer.CFG), ("gaps", "power_db = 0, 10\n")])
 def test_malformed_sbf_threads_reports_input_error(tmp_path, monkeypatch, capsys, command, config):
     assert run_cli(tmp_path, command, config)[0] == 0

@@ -46,8 +46,8 @@ CLI_DIGESTS = {
 
 RANK4_COV = CovarianceMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
 
-# (scheme, constellation): every link scheme, QOSTBC under both detection
-# modes (full search for QPSK, pair search for 16-QAM)
+# (scheme, constellation): every link scheme on QPSK, and QOSTBC on 16-QAM
+# as well
 SIM_CASES = [(scheme, "qpsk") for scheme in linksim.SCHEMES] + [("precoded_qostbc", "qam16")]
 
 SIM_DIGEST = "fdbe7237a31e2f9cc975157d71f76cbc49169710d5804dc9761cafdb1f3f1e99"

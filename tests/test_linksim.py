@@ -19,7 +19,6 @@ from sbfmc.linksim import (
     frame_bit_count,
     gray_adjacency_ok,
     make_constellation,
-    ml_detect_exhaustive,
     qostbc_encode,
     simulate_worst_user_ber,
     transmit_frame,
@@ -200,9 +199,8 @@ class TestQostbc:
         power = 10 ** (0.2)
         y = math.sqrt(power) * np.einsum("j,bjt->bt", g.conj(), blocks)
         y = y + sampling.randn_complex(rng, n_blocks, 4)
-        det_pair = detect_qostbc(y, g, BPSK, power, mode="pair")
-        det_full = detect_qostbc(y, g, BPSK, power, mode="full")
-        assert np.array_equal(det_pair, det_full)
+        det_full = qostbc_full_search(y, g, BPSK, power)
+        assert np.array_equal(detect_qostbc(y, g, BPSK, power), det_full)
         assert np.any(det_full != tuples)  # noise actually caused errors
 
     def test_pair_equals_full_search_qpsk(self):
@@ -214,41 +212,61 @@ class TestQostbc:
             rng, 2000, 4
         )
         assert np.array_equal(
-            detect_qostbc(y, g, QPSK, 1.0, mode="pair"),
-            detect_qostbc(y, g, QPSK, 1.0, mode="full"),
+            detect_qostbc(y, g, QPSK, 1.0), qostbc_full_search(y, g, QPSK, 1.0)
         )
+
+    def test_pair_equals_full_search_qam16(self):
+        # 16^4 = 65,536 candidate blocks: too many for a distance table, so
+        # the reference search goes through _nearest_candidate, which
+        # TestNearestCandidate pins to one.  g has unit norm, so the power
+        # is the receive SNR; block errors fall from many at 10 dB to none
+        # at 22 dB.
+        rng = SeededStream(3, 5).generator()
+        g = sampling.randn_complex(rng, 4)
+        g /= np.linalg.norm(g)
+        all_tuples = linksim._all_tuples(4, QAM16.size)
+        wrong = 0
+        for power_db in (10.0, 16.0, 22.0):
+            power = 10 ** (power_db / 10)
+            tuples = rng.integers(0, QAM16.size, (3000, 4))
+            blocks = linksim._qostbc_encode_batch(QAM16.points[tuples])
+            y = math.sqrt(power) * np.einsum("j,bjt->bt", g.conj(), blocks)
+            y = y + sampling.randn_complex(rng, 3000, 4)
+            cand = math.sqrt(power) * qostbc_candidates(g, QAM16, pair=False)
+            det_full = all_tuples[linksim._nearest_candidate(y, cand)]
+            assert np.array_equal(detect_qostbc(y, g, QAM16, power), det_full), power_db
+            wrong += np.sum(np.any(det_full != tuples, axis=1))
+        assert wrong > 0  # noise actually caused errors
 
 
 class TestMlDetect:
     def test_noiseless_recovery(self):
         rng = SeededStream(4, 0).generator()
+        # spatial multiplexing: one slot of three QPSK streams
         g = sampling.randn_complex(rng, 3)
-
-        def eff(sym):  # (n_cand, 3) -> (n_cand, 1)
-            return (sym @ g)[:, None]
-
+        tuples = linksim._all_tuples(3, QPSK.size)
+        cand = (QPSK.points[tuples] @ g)[:, None]
         truth = np.array([2, 0, 3])
-        y = eff(QPSK.points[truth][None, :])[0]
-        det = ml_detect_exhaustive(y, eff, QPSK, 3)
-        assert np.array_equal(det, truth)
+        y = (QPSK.points[truth] @ g)[None, None]
+        assert np.array_equal(tuples[linksim._nearest_candidate(y, cand)][0], truth)
+        # QOSTBC: noiseless 16-QAM blocks come back from the pair search
+        g = sampling.randn_complex(rng, 4)
+        sent = rng.integers(0, QAM16.size, (500, 4))
+        blocks = linksim._qostbc_encode_batch(QAM16.points[sent])
+        y = 2.0 * np.einsum("j,bjt->bt", g.conj(), blocks)
+        assert np.array_equal(detect_qostbc(y, g, QAM16, 4.0), sent)
 
     def test_single_symbol_reduces_to_nearest_neighbor(self):
         rng = SeededStream(4, 1).generator()
         y = sampling.randn_complex(rng, 200)
-
-        def eff(sym):
-            return sym
-
-        det = ml_detect_exhaustive(y[:, None], eff, QAM16, 1)[:, 0]
+        tuples = linksim._all_tuples(1, QAM16.size)
+        det = tuples[linksim._nearest_candidate(y[:, None], QAM16.points[tuples])][:, 0]
         nearest = np.argmin(np.abs(y[:, None] - QAM16.points[None, :]) ** 2, axis=1)
         assert np.array_equal(det, nearest)
 
     def test_search_space_guard(self):
-        def eff(sym):
-            return sym
-
         with pytest.raises(ValueError, match="guard"):
-            ml_detect_exhaustive(np.zeros(8, complex), eff, QAM16, 8)
+            linksim._all_tuples(8, QAM16.size)
 
 
 def brute_force_nearest(y, cand):
@@ -270,6 +288,13 @@ def qostbc_candidates(g, constellation, pair):
         zeros = np.zeros(len(tuples), dtype=complex)
         sym = np.stack([sym[:, 0], zeros, zeros, sym[:, 1]], axis=1)
     return np.einsum("j,bjt->bt", g.conj(), linksim._qostbc_encode_batch(sym))
+
+
+def qostbc_full_search(y, g, constellation, power):
+    """Exact ML reference: argmin over all |C|^4 noiseless QOSTBC blocks."""
+    tuples = linksim._all_tuples(4, constellation.size)
+    cand = math.sqrt(power) * qostbc_candidates(g, constellation, pair=False)
+    return tuples[brute_force_nearest(y, cand)]
 
 
 class TestNearestCandidate:

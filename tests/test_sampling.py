@@ -179,22 +179,16 @@ class TestWeightSamplers:
             WeightSampler.from_covariance("bf", self.w)
 
     def test_named_draw_helpers(self):
-        from sbfmc.sampling import sample_ellip_sbf_weight, sample_gauss_sbf_weight
-
         gauss = WeightSampler.from_covariance("gauss_sbf", self.w)
         ellip = WeightSampler.from_covariance("ellip_sbf", self.w)
-        one = sample_gauss_sbf_weight(gauss, SeededStream(5, 30))
-        block = sample_gauss_sbf_weight(gauss, SeededStream(5, 30), size=4)
+        one = gauss.sample(SeededStream(5, 30).generator())
+        block = gauss.sample(SeededStream(5, 30).generator(), 4)
         assert one.shape == (4,) and block.shape == (4, 4)
-        assert np.array_equal(one, sample_gauss_sbf_weight(gauss, SeededStream(5, 30)))
-        w_e = sample_ellip_sbf_weight(ellip, SeededStream(5, 31), size=100)
+        assert np.array_equal(one, gauss.sample(SeededStream(5, 30).generator()))
+        w_e = ellip.sample(SeededStream(5, 31).generator(), 100)
         # ellipsoid draws have fixed squared norm r inside the root's frame
         g = np.linalg.lstsq(ellip.root, w_e.T, rcond=None)[0]
         assert np.allclose(np.sum(np.abs(g) ** 2, axis=0), ellip.rank, atol=1e-9)
-        with pytest.raises(ValueError):
-            sample_gauss_sbf_weight(ellip, SeededStream(5, 32))
-        with pytest.raises(ValueError):
-            sample_ellip_sbf_weight(gauss, SeededStream(5, 33))
 
 
 LAWS = {

@@ -12,8 +12,8 @@ from sbfmc import specfun
 def test_euler_gamma_value():
     # cross-check via -int_0^inf log(x) e^-x dx
     ref, _ = quad(lambda x: -np.log(x) * np.exp(-x), 0, np.inf)
-    assert abs(specfun.euler_gamma() - 0.5772156649015329) < 1e-15
-    assert abs(specfun.euler_gamma() - ref) < 1e-9
+    assert abs(specfun.EULER_GAMMA - 0.5772156649015329) < 1e-15
+    assert abs(specfun.EULER_GAMMA - ref) < 1e-9
 
 
 class TestExpIntegral:
