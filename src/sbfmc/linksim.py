@@ -21,6 +21,10 @@ from .capacity import CovarianceMatrix
 from .sampling import SeededStream, WeightSampler, psd_sqrt, randn_complex
 
 _ML_SEARCH_GUARD = 10**6
+# candidate rows that one BER row's ML searches may hold at once, over all
+# users: 2^22 one-slot precoded_sm rows take about 170 MB (42 B a row),
+# 2^22 four-slot QOSTBC rows about 380 MB (96 B a row)
+_ML_ROW_GUARD = 1 << 22
 # weight draws per step of estimate_user_rates_mc, which bounds its memory
 _MC_CHUNK = 1 << 16
 
@@ -278,7 +282,9 @@ def _nearest_point(values, scale, constellation):
     i_im = np.zeros(len(u), dtype=np.intp)
     for m in im_mids:
         i_im += u.imag > e * m
-    idx = table[i_re, i_im]
+    i_re *= table.shape[1]
+    i_re += i_im
+    idx = table.ravel().take(i_re)
     idx[e == 0] = 0
     return idx
 
@@ -297,32 +303,83 @@ def _all_tuples(n_symbols, size):
     return np.stack(cols, axis=1)
 
 
+class _CandidateSearch:
+    """Exact nearest-candidate search over a fixed (K, L) complex candidate
+    set, built once and queried read-only (frame threads share it).
+
+    A k-d tree (Bentley, CACM 1975) over the candidates viewed as real
+    (K, 2L) rows measures the sum of squares sum_j |y[j] - cand[k, j]|^2,
+    and eps=0 keeps the search exact.  Two tuples can give the same
+    candidate point (when an entry of B^H h is 0, say); repeated rows are
+    dropped before the tree is built, so they resolve to the lowest index,
+    as an argmin over all rows would.  keep holds the indices of the rows
+    kept.  Equal distances to distinct points have probability zero.
+    """
+
+    def __init__(self, cand):
+        # imported here: scipy.spatial adds ~0.13 s to every import of sbfmc
+        from scipy.spatial import cKDTree
+
+        cand = np.ascontiguousarray(cand, dtype=np.complex128).view(np.float64)
+        order = np.lexsort(cand.T)  # stable: equal rows keep their index order
+        rows = cand[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        self.keep = np.sort(order[first])
+        self.tree = cKDTree(cand[self.keep])
+
+    def query(self, y):
+        """(B,) indices of the nearest candidate rows to the (B, L) complex
+        observations y.  The tree raises ValueError for a non-finite
+        observation (from an infinite power, say), where an argmin would
+        return 0."""
+        y = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64)
+        return self.keep[self.tree.query(y, eps=0)[1]]
+
+
 def _nearest_candidate(y, cand):
     """Index of the nearest candidate row for each observation row.
 
     y : (B, L) complex observations; cand : (K, L) complex candidates.
-    Returns the (B,) indices k minimising sum_j |y[b, j] - cand[k, j]|^2.
-
-    A k-d tree (Bentley, CACM 1975) over the candidates viewed as real
-    (K, 2L) rows measures the same sum of squares, and eps=0 keeps the
-    search exact.  Two tuples can give the same candidate point (when an
-    entry of B^H h is 0, say); repeated rows are dropped before the tree is
-    built, so they resolve to the lowest index, as an argmin over all rows
-    would.  Equal distances to distinct points have probability zero.
-    The tree raises ValueError for a non-finite observation (from an
-    infinite power, say), where an argmin would return 0.
+    Returns the (B,) indices k minimising sum_j |y[b, j] - cand[k, j]|^2,
+    by a one-shot _CandidateSearch.
     """
-    # imported here: scipy.spatial adds ~0.13 s to every import of sbfmc
-    from scipy.spatial import cKDTree
+    return _CandidateSearch(cand).query(y)
 
-    y = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64)
-    cand = np.ascontiguousarray(cand, dtype=np.complex128).view(np.float64)
-    order = np.lexsort(cand.T)  # stable: equal rows keep their index order
-    rows = cand[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    keep = np.sort(order[first])
-    return keep[cKDTree(cand[keep]).query(y, eps=0)[1]]
+
+def _check_search_rows(n_rows):
+    """Refuse a BER row whose users' ML searches would hold more than
+    _ML_ROW_GUARD candidate rows at once."""
+    if n_rows > _ML_ROW_GUARD:
+        raise ValueError(
+            f"ML searches of {n_rows} candidate rows exceed the {_ML_ROW_GUARD} row guard"
+        )
+
+
+def _qostbc_searches(g, constellation, power):
+    """The pair tuples and the {s1, s4} and {s2, s3} searches for one
+    user's effective stream channel g = B^H h."""
+    pair_tuples = _all_tuples(2, constellation.size)
+    pts = constellation.points[pair_tuples]
+    zeros = np.zeros(len(pair_tuples), dtype=np.complex128)
+    s14 = np.stack([pts[:, 0], zeros, zeros, pts[:, 1]], axis=1)
+    s23 = np.stack([zeros, pts[:, 0], pts[:, 1], zeros], axis=1)
+    gc = g.conj()
+    sp = math.sqrt(power)
+    cand14 = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s14))
+    cand23 = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s23))
+    return pair_tuples, _CandidateSearch(cand14), _CandidateSearch(cand23)
+
+
+def _decode_qostbc(y_blocks, searches):
+    """(B, 4) detected symbol indices of (B, 4) blocks from _qostbc_searches."""
+    pair_tuples, search14, search23 = searches
+    best14 = pair_tuples[search14.query(y_blocks)]
+    best23 = pair_tuples[search23.query(y_blocks)]
+    out = np.empty((y_blocks.shape[0], 4), dtype=np.int64)
+    out[:, 0], out[:, 3] = best14[:, 0], best14[:, 1]
+    out[:, 1], out[:, 2] = best23[:, 0], best23[:, 1]
+    return out
 
 
 def detect_qostbc(y_blocks, g, constellation, power):
@@ -337,21 +394,7 @@ def detect_qostbc(y_blocks, g, constellation, power):
 
     Returns (B, 4) detected symbol indices.
     """
-    pair_tuples = _all_tuples(2, constellation.size)
-    pts = constellation.points[pair_tuples]
-    zeros = np.zeros(len(pair_tuples), dtype=np.complex128)
-    s14 = np.stack([pts[:, 0], zeros, zeros, pts[:, 1]], axis=1)
-    s23 = np.stack([zeros, pts[:, 0], pts[:, 1], zeros], axis=1)
-    gc = g.conj()
-    sp = math.sqrt(power)
-    cand14 = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s14))
-    cand23 = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s23))
-    best14 = pair_tuples[_nearest_candidate(y_blocks, cand14)]
-    best23 = pair_tuples[_nearest_candidate(y_blocks, cand23)]
-    out = np.empty((y_blocks.shape[0], 4), dtype=np.int64)
-    out[:, 0], out[:, 3] = best14[:, 0], best14[:, 1]
-    out[:, 1], out[:, 2] = best23[:, 0], best23[:, 1]
-    return out
+    return _decode_qostbc(y_blocks, _qostbc_searches(g, constellation, power))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +426,7 @@ def _encode_weighted(cfg, ops, bits, rng):
     return x, {"weights": w, "symbols": idx}
 
 
-def _detect_weighted(cfg, ops, h, y, info):
+def _detect_weighted(cfg, ops, h, y, info, rx):
     """Scalar nearest point of each user's decision statistic z after
     identity (one branch) or Alamouti (two branches) combining."""
     gains = [w @ h.conj().T for w in info["weights"]]  # per branch (blocks, M)
@@ -406,16 +449,23 @@ def _encode_multiplexed(cfg, ops, bits, rng):
     return x, {"symbols": idx}
 
 
-def _detect_tuples(cfg, ops, h, y, info):
-    """Exhaustive ML search over the symbol tuples of each slot."""
+def _tuple_searches(cfg, ops, h):
+    """The symbol tuples and one search per user over their |C|^d
+    noiseless received points."""
     con = cfg.constellation
+    _check_search_rows(h.shape[0] * con.size**ops.rank)
     g = h.conj() @ ops.root  # (M, d), row i = (B^H h_i)^*
     tuples = _all_tuples(ops.rank, con.size)
     sym = con.points[tuples]  # (K^d, d)
     sp = math.sqrt(cfg.power)
-    for i in range(h.shape[0]):
-        cand = sp * (sym @ g[i])[:, None]
-        yield tuples[_nearest_candidate(y[i][:, None], cand)]
+    return tuples, [_CandidateSearch(sp * (sym @ gi)[:, None]) for gi in g]
+
+
+def _detect_tuples(cfg, ops, h, y, info, rx):
+    """Exhaustive ML search over the symbol tuples of each slot."""
+    tuples, searches = rx
+    for yi, search in zip(y, searches):
+        yield tuples[search.query(yi[:, None])]
 
 
 def _encode_qostbc(cfg, ops, bits, rng):
@@ -427,11 +477,17 @@ def _encode_qostbc(cfg, ops, bits, rng):
     return x.reshape(ops.n_antennas, cfg.frame_length), {"symbols": idx}
 
 
-def _detect_qostbc_blocks(cfg, ops, h, y, info):
-    """detect_qostbc on each user's 4-slot blocks."""
+def _qostbc_user_searches(cfg, ops, h):
+    """Each user's pair searches, 2 |C|^2 candidate rows per user."""
+    _check_search_rows(2 * h.shape[0] * cfg.constellation.size**2)
     g = ops.root.conj().T @ h.T  # (4, M), column i = B^H h_i
-    for i in range(h.shape[0]):
-        yield detect_qostbc(y[i].reshape(-1, 4), g[:, i], cfg.constellation, cfg.power)
+    return [_qostbc_searches(gi, cfg.constellation, cfg.power) for gi in g.T]
+
+
+def _detect_qostbc_blocks(cfg, ops, h, y, info, rx):
+    """Pair-decoupled ML decisions on each user's 4-slot blocks."""
+    for yi, searches in zip(y, rx):
+        yield _decode_qostbc(yi.reshape(-1, 4), searches)
 
 
 @dataclass(frozen=True)
@@ -446,8 +502,13 @@ class LinkScheme:
     encode: (cfg, ops, bits, rng) -> the (N, T) transmit signal and the
         receiver-side info.  It draws only weights from rng (the caller
         draws payload bits before and noise after), so results reproduce.
-    detect: (cfg, ops, h, y, info) -> each user's detected symbol indices
-        from the (M, T) received signal y, one user at a time.
+    detect: (cfg, ops, h, y, info, rx) -> each user's detected symbol
+        indices from the (M, T) received signal y, one user at a time.  It
+        only queries rx and builds no search of its own.
+    receiver: (cfg, ops, h) -> rx, the read-only per-user search state,
+        built once per simulate_worst_user_ber call before the frame
+        threads start (one candidate tree per user per row, shared by the
+        threads), or None when detect needs no state (rx is then None).
     multiplexed: sends one symbol per stream of B in every slot.
     rank: covariance rank the code needs, or None for any.
     """
@@ -456,6 +517,7 @@ class LinkScheme:
     weights: object
     encode: object
     detect: object
+    receiver: object = None
     multiplexed: bool = False
     rank: object = None
 
@@ -467,8 +529,10 @@ LINK_SCHEMES = {
     "bf_alamouti": LinkScheme(2, "bf_pair", _encode_weighted, _detect_weighted),
     "gauss_sbf_alamouti": LinkScheme(2, "gauss_sbf", _encode_weighted, _detect_weighted),
     "ellip_sbf_alamouti": LinkScheme(2, "ellip_sbf", _encode_weighted, _detect_weighted),
-    "precoded_sm": LinkScheme(1, None, _encode_multiplexed, _detect_tuples, multiplexed=True),
-    "precoded_qostbc": LinkScheme(4, None, _encode_qostbc, _detect_qostbc_blocks, rank=4),
+    "precoded_sm": LinkScheme(1, None, _encode_multiplexed, _detect_tuples,
+                              receiver=_tuple_searches, multiplexed=True),
+    "precoded_qostbc": LinkScheme(4, None, _encode_qostbc, _detect_qostbc_blocks,
+                                  receiver=_qostbc_user_searches, rank=4),
 }
 
 SCHEMES = tuple(LINK_SCHEMES)
@@ -484,7 +548,7 @@ def transmit_frame(cfg, bits, stream):
     return ops.link.encode(cfg, ops, bits, stream.generator())[0]
 
 
-def _simulate_one_frame(cfg, ops, ch, rng):
+def _simulate_one_frame(cfg, ops, ch, rx, rng):
     """(M,) bit error counts of one frame."""
     bits = rng.integers(0, 2, frame_bit_count(cfg, ops), dtype=np.uint8)
     x, info = ops.link.encode(cfg, ops, bits, rng)
@@ -492,7 +556,7 @@ def _simulate_one_frame(cfg, ops, ch, rng):
     # noise first: the other order measured ~0.6 ms slower per M = 16, T = 1440 frame
     noise = randn_complex(rng, h.shape[0], cfg.frame_length)
     y = h.conj() @ x + noise  # (M, T)
-    detected = ops.link.detect(cfg, ops, h, y, info)
+    detected = ops.link.detect(cfg, ops, h, y, info, rx)
     return np.array([count_bit_errors(info["symbols"], d, cfg.constellation) for d in detected],
                     dtype=np.int64)
 
@@ -510,9 +574,11 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
     if ch.n_antennas != ops.n_antennas:
         raise ValueError("channel/covariance dimension mismatch")
     n_bits = frame_bit_count(cfg, ops)
+    receiver = ops.link.receiver
+    rx = None if receiver is None else receiver(cfg, ops, ch.channels)
 
     def run(frame_idx):
-        return _simulate_one_frame(cfg, ops, ch, stream.substream(frame_idx))
+        return _simulate_one_frame(cfg, ops, ch, rx, stream.substream(frame_idx))
 
     workers = min(n_workers(), n_frames)
     if workers > 1:

@@ -39,8 +39,18 @@ class SeededStream:
 
 
 def randn_complex(rng, *shape):
-    """i.i.d. zero-mean unit-variance circular complex Gaussians."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """i.i.d. zero-mean unit-variance circular complex Gaussians.
+
+    One draw of 2 * size normals is the same Philox sequence as a draw for
+    the real parts followed by one for the imaginary parts, and filling one
+    complex array in place is bit-identical to (re + 1j * im) / sqrt(2).
+    """
+    normals = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = normals[0]
+    out.imag = normals[1]
+    out /= np.sqrt(2.0)
+    return out
 
 
 @dataclass(frozen=True)

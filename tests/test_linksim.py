@@ -269,6 +269,22 @@ class TestMlDetect:
             linksim._all_tuples(8, QAM16.size)
 
 
+def count_tree_builds(monkeypatch):
+    """Replace scipy.spatial.cKDTree with a subclass that counts its builds;
+    returns the one-element list holding the count."""
+    import scipy.spatial
+
+    built = [0]
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    return built
+
+
 def brute_force_nearest(y, cand):
     """argmin_k sum_j |y[b, j] - cand[k, j]|^2 over the full distance table."""
     return np.argmin((np.abs(y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2), axis=1)
@@ -405,15 +421,56 @@ class TestBerSimulation:
         se = math.sqrt(0.25 / res.bits_simulated)
         assert abs(res.worst_user_ber - 0.5) <= 4 * se, scheme
 
-    def test_seed_determinism_across_workers(self, monkeypatch):
+    @pytest.mark.parametrize("scheme", ["gauss_sbf_alamouti", "precoded_sm", "precoded_qostbc"])
+    def test_seed_determinism_across_workers(self, monkeypatch, scheme):
+        # the precoded schemes' frame threads share each user's prebuilt search
         ch = sample_channel_set(4, 5, SeededStream(6, 2))
-        cfg = SchemeConfig("gauss_sbf_alamouti", RANK4_COV, QPSK, 6.0, 288)
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 288)
         monkeypatch.setenv("SBF_THREADS", "1")
         res1 = simulate_worst_user_ber(cfg, ch, 8, SeededStream(6, 3))
         monkeypatch.setenv("SBF_THREADS", "8")
         res8 = simulate_worst_user_ber(cfg, ch, 8, SeededStream(6, 3))
         assert np.array_equal(res1.per_user_ber, res8.per_user_ber)
         assert res1.worst_user_ber == res8.worst_user_ber
+
+    @pytest.mark.parametrize("scheme, trees_per_user", [("precoded_sm", 1),
+                                                        ("precoded_qostbc", 2)])
+    @pytest.mark.parametrize("n_frames", [1, 4])
+    def test_searches_built_once_per_row(self, monkeypatch, scheme, trees_per_user, n_frames):
+        built = count_tree_builds(monkeypatch)
+        monkeypatch.setenv("SBF_THREADS", "2")
+        ch = sample_channel_set(4, 5, SeededStream(6, 8))
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 288)
+        simulate_worst_user_ber(cfg, ch, n_frames, SeededStream(6, 9))
+        assert built == [trees_per_user * 5]
+
+    @pytest.mark.parametrize("scheme, n_users", [("precoded_sm", 65),
+                                                 ("precoded_qostbc", 8193)])
+    def test_search_row_guard_refuses_before_building(self, monkeypatch, scheme, n_users):
+        # 65 * 16^4 and 2 * 8193 * 16^2 candidate rows are just over 2^22
+        built = count_tree_builds(monkeypatch)
+        ch = sample_channel_set(4, n_users, SeededStream(6, 10))
+        cfg = SchemeConfig(scheme, RANK4_COV, QAM16, 6.0, 4)
+        with pytest.raises(ValueError, match="guard"):
+            simulate_worst_user_ber(cfg, ch, 1, SeededStream(6, 11))
+        assert built == [0]
+
+    def test_search_row_guard_boundary(self):
+        linksim._check_search_rows(64 * QAM16.size**4)  # 2^22 rows: accepted
+        with pytest.raises(ValueError, match="guard"):
+            linksim._check_search_rows(64 * QAM16.size**4 + 1)
+
+    @pytest.mark.parametrize("scheme", ["precoded_sm", "precoded_qostbc"])
+    def test_non_finite_observation_raises_through_prebuilt_search(self, scheme):
+        ch = sample_channel_set(4, 2, SeededStream(6, 12))
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 8)
+        ops = linksim._SchemeOps(cfg)
+        link = linksim.LINK_SCHEMES[scheme]
+        rx = link.receiver(cfg, ops, ch.channels)
+        y = np.zeros((2, 8), dtype=complex)
+        y[1, 3] = np.inf
+        with pytest.raises(ValueError):
+            list(link.detect(cfg, ops, ch.channels, y, None, rx))
 
     def test_result_invariants(self):
         ch = sample_channel_set(4, 4, SeededStream(6, 4))

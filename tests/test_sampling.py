@@ -50,6 +50,19 @@ class TestSeededStream:
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
+    @pytest.mark.parametrize("shape", [(1,), (37,), (16, 1440), (3, 5), (1, 1)])
+    def test_randn_complex_matches_two_draw_formula(self, shape):
+        # one (2, *shape) draw filled in place must reproduce, bit for bit,
+        # the real-then-imaginary draws divided by sqrt(2), and leave the
+        # stream at the same position
+        for seed in (0, 7, 20240801, 2**63 + 5):
+            rng, ref = SeededStream(seed, 3).generator(), SeededStream(seed, 3).generator()
+            got = sampling.randn_complex(rng, *shape)
+            want = (ref.standard_normal(shape) + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
+            assert got.dtype == np.complex128 and got.shape == shape
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (seed, shape)
+            assert rng.standard_normal() == ref.standard_normal()
+
 
 class TestChannelSet:
     def test_moments(self):
