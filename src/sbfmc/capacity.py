@@ -13,9 +13,14 @@ q >= 0.
 
 Algorithm: infeasible-start primal-dual path following with HKM search
 directions and Mehrotra's predictor-corrector (Todd, Toh and Tutuncu, SIAM
-J. Optim. 1998).  Each Newton step solves one (M+1) x (M+1) Schur
-complement system with numpy's dense linear algebra; a solve takes 6-17
-steps.  ``max_iter`` caps the Newton steps.
+J. Optim. 1998).  The path runs on a batch of channel sets of one shape
+(M, N), such as the realizations of one population: each Newton step
+solves a stack of (M+1) x (M+1) Schur complement systems, one per set
+still on the path, with numpy's stacked dense linear algebra.  A set
+takes 6-17 steps and leaves the stack when it stops; ``max_iter`` caps
+each set's own Newton steps.  The stacked routines and the reductions
+below sum in the same order for one set as for many, so a set's result
+does not depend, to the last bit, on the batch it ran in.
 
 Certificate: for any q >= 0, min_i h_i^H W h_i <= lambda_max(sum_i q^_i
 h_i h_i^H) with q^ = q / sum q.  The dual iterate's q gives this upper
@@ -102,184 +107,260 @@ def rho_values(w, ch):
 
 
 def _herm(a):
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _trace(a):
+    return np.trace(a, axis1=-2, axis2=-1).real
 
 
 def _unit_trace(w):
     w = _herm(w)
-    return w / np.trace(w).real
+    return w / _trace(w)[..., None, None]
 
 
 def _gains(hch, w):
     hw = hch.conj() @ w
-    return np.einsum("ij,ij->i", hw, hch).real
+    return np.einsum("...ij,...ij->...i", hw, hch).real
+
+
+def _dots(a, b):
+    """Inner product of each member's flattened a and b, summed in the order
+    np.dot sums one pair (a batched einsum sums in another order)."""
+    k = a.shape[0]
+    return (a.reshape(k, 1, -1) @ b.reshape(k, -1, 1))[:, 0, 0]
+
+
+def _duality_measure(x_mat, x, z_mat, z):
+    """mu = (<X, Z> + x . z) / nu per member, nu = N + M + 1."""
+    return (_dots(x_mat.conj(), z_mat).real + _dots(x, z)) / (x_mat.shape[-1] + x.shape[1])
 
 
 def _dual_bound(hch, q):
-    """Certificate lambda_max(sum_i q^_i h_i h_i^H), q^ = q / sum q."""
-    a = hch.T @ ((q / q.sum())[:, None] * hch.conj())
-    return float(np.linalg.eigvalsh(_herm(a))[-1])
+    """Certificate lambda_max(sum_i q^_i h_i h_i^H), q^ = q / sum q, per member."""
+    a = hch.swapaxes(-1, -2) @ ((q / q.sum(axis=1, keepdims=True))[:, :, None] * hch.conj())
+    return np.linalg.eigvalsh(_herm(a))[:, -1]
 
 
 def _max_step(x, dx):
     """Largest alpha with X + alpha dX still PSD (X positive definite)."""
     li = np.linalg.inv(np.linalg.cholesky(x))
-    lam = np.linalg.eigvalsh(_herm(li @ dx @ li.conj().T))[0]
-    return np.inf if lam >= 0 else -1.0 / lam
+    lam = np.linalg.eigvalsh(_herm(li @ dx @ li.conj().swapaxes(-1, -2)))[:, 0]
+    return np.divide(-1.0, lam, out=np.full_like(lam, np.inf), where=~(lam >= 0))
 
 
 def _max_step_lp(x, dx):
-    neg = dx < 0
-    return float(np.min(-x[neg] / dx[neg])) if neg.any() else np.inf
+    return np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0).min(axis=1)
 
 
-def _central_path(hch):
-    """Primal-dual path following on the standard form of the module
-    docstring.  Yields, after each Newton step, the unit-trace primal
-    iterate W, the dual slack Z (for the channels scaled to
-    max_i |h_i|^2 = 1), the dual weights q >= 0 and the duality measure
-    mu; stops when a step breaks down numerically."""
-    m, n = hch.shape
-    scale = float(np.einsum("ij,ij->i", hch, hch.conj()).real.max())
-    h = hch / np.sqrt(scale)
-    hc, ht = h.conj(), h.T
+def _newton_step(h, x_mat, x, y, z_mat, z, mu):
+    """One Mehrotra predictor-corrector step of every member of the batch;
+    raises LinAlgError when an iterate of any member left the cone interior
+    numerically."""
+    k, m, n = h.shape
+    hc, ht = h.conj(), h.swapaxes(-1, -2)
     eye = np.eye(n)
-    nu = n + m + 1
     b = np.zeros(m + 1)
     b[m] = 1.0
     c = np.zeros(m + 1)
     c[0] = -1.0
 
     # constraint maps on the (W, t, s) blocks and their adjoints
-    def a_sdp(k):
-        return np.append(np.einsum("ij,ij->i", hc @ k, h).real, np.trace(k).real)
+    def a_sdp(mat):
+        return np.concatenate(
+            [np.einsum("kij,kij->ki", hc @ mat, h).real, _trace(mat)[:, None]], axis=1)
 
     def a_lp(v):
-        return np.append(-v[0] - v[1:], 0.0)
+        return np.concatenate([-v[:, :1] - v[:, 1:], np.zeros((k, 1))], axis=1)
 
-    def at_sdp(y):
-        return _herm(ht @ (y[:m, None] * hc)) + y[m] * eye
+    def at_sdp(v):
+        return _herm(ht @ (v[:, :m, None] * hc)) + v[:, m, None, None] * eye
 
-    def at_lp(y):
-        return np.append(-y[:m].sum(), -y[:m])
+    def at_lp(v):
+        return np.concatenate([-v[:, :m].sum(axis=1, keepdims=True), -v[:, :m]], axis=1)
 
+    rp = b - a_sdp(x_mat) - a_lp(x)
+    rd_mat = -z_mat - at_sdp(y)
+    rd = c - z - at_lp(y)
+    zi = np.linalg.inv(z_mat)
+    # HKM Schur complement S_kl = <A_k, X A_l Z^-1> + LP block
+    xzi = x_mat @ zi
+    s = np.empty((k, m + 1, m + 1))
+    s[:, :m, :m] = ((hc @ x_mat @ ht) * (hc @ zi @ ht).swapaxes(-1, -2)).real
+    s[:, :m, m] = s[:, m, :m] = np.einsum("kij,kij->ki", hc @ xzi, h).real
+    s[:, m, m] = _trace(xzi)
+    d = x / z
+    d_diag = np.zeros((k, m, m))
+    d_diag[:, np.arange(m), np.arange(m)] = d[:, 1:]
+    s[:, :m, :m] += d[:, :1, None] + d_diag
+
+    def direction(r_mat, r):
+        # solves A(dX, dx) = rp, A*(dy) + (dZ, dz) = rd and the
+        # linearized complementarity dX Z + X dZ = R, dx z + x dz = r
+        kk = (r_mat - x_mat @ rd_mat) @ zi
+        rhs = rp - a_sdp(kk) - a_lp((r - x * rd) / z)
+        dy = np.linalg.solve(s, rhs[:, :, None])[:, :, 0]
+        dz_mat = rd_mat - at_sdp(dy)
+        dz = rd - at_lp(dy)
+        return _herm((r_mat - x_mat @ dz_mat) @ zi), (r - x * dz) / z, dy, dz_mat, dz
+
+    def step_lengths(dx_mat, dx, dz_mat, dz, frac=1.0):
+        # fmin(1, a, b) picks as Python's min(1.0, a, b) does, NaN included
+        return (np.fmin(np.fmin(1.0, frac * _max_step(x_mat, dx_mat)), frac * _max_step_lp(x, dx)),
+                np.fmin(np.fmin(1.0, frac * _max_step(z_mat, dz_mat)), frac * _max_step_lp(z, dz)))
+
+    xz = x_mat @ z_mat
+    dxa, dxla, _, dza, dzla = direction(-xz, -x * z)
+    ap, ad = step_lengths(dxa, dxla, dza, dzla)
+    mu_aff = _duality_measure(x_mat + ap[:, None, None] * dxa, x + ap[:, None] * dxla,
+                              z_mat + ad[:, None, None] * dza, z + ad[:, None] * dzla)
+    # scalar powers: an array power may round differently
+    sigma_mu = np.array([min(1.0, r ** 3) for r in mu_aff / mu]) * mu
+    dx_mat, dx, dy, dz_mat, dz = direction(sigma_mu[:, None, None] * eye - xz - dxa @ dza,
+                                           sigma_mu[:, None] - x * z - dxla * dzla)
+    # step to a fraction 0.9-0.99 of the boundary, larger when the
+    # predictor could step far (Toh, Todd and Tutuncu's SDPT3 rule)
+    ap, ad = step_lengths(dx_mat, dx, dz_mat, dz, 0.9 + 0.09 * np.minimum(ap, ad))
+    x_mat = x_mat + ap[:, None, None] * dx_mat
+    x = x + ap[:, None] * dx
+    y = y + ad[:, None] * dy
+    z_mat = z_mat + ad[:, None, None] * dz_mat
+    z = z + ad[:, None] * dz
+    return x_mat, x, y, z_mat, z, _duality_measure(x_mat, x, z_mat, z)
+
+
+def _central_path(hch):
+    """Primal-dual path following on the standard form of the module
+    docstring, for a batch of channel sets hch of shape (K, M, N).
+
+    After each Newton step it yields the batch positions of the members
+    still on the path and, for each of them, the unit-trace primal iterate
+    W, the dual slack Z (for the channels scaled to max_i |h_i|^2 = 1), the
+    dual weights q >= 0 and the duality measure mu.  The caller may send
+    back a boolean mask over those members; the marked ones leave the path.
+    A member whose step breaks down numerically leaves it too, and the
+    others carry on as if it had never been in the batch.
+    """
+    k, m, n = hch.shape
+    scale = np.einsum("kij,kij->ki", hch, hch.conj()).real.max(axis=1)
+    h = hch / np.sqrt(scale)[:, None, None]
+    eye = np.eye(n)
     # primal W = x_mat and (t, s) = x; dual y = (q, y_tr) with slacks
     # z_mat = -sum_i q_i h_i h_i^H - y_tr I and z = (sum_i q_i - 1, q)
-    x_mat = eye / n + 0j
-    x = np.full(m + 1, 1.0 / n)
-    y = np.zeros(m + 1)
-    z_mat = eye + 0j
-    z = np.ones(m + 1)
-    mu = (np.vdot(x_mat, z_mat).real + x @ z) / nu
-    while True:
-        rp = b - a_sdp(x_mat) - a_lp(x)
-        rd_mat = -z_mat - at_sdp(y)
-        rd = c - z - at_lp(y)
+    x_mat = np.tile(eye / n + 0j, (k, 1, 1))
+    x = np.full((k, m + 1), 1.0 / n)
+    z_mat = np.tile(eye + 0j, (k, 1, 1))
+    z = np.ones((k, m + 1))
+    state = (x_mat, x, np.zeros((k, m + 1)), z_mat, z, _duality_measure(x_mat, x, z_mat, z))
+    members = np.arange(k)
+    while members.size:
         try:
-            zi = np.linalg.inv(z_mat)
-            # HKM Schur complement S_kl = <A_k, X A_l Z^-1> + LP block
-            xzi = x_mat @ zi
-            s = np.empty((m + 1, m + 1))
-            s[:m, :m] = ((hc @ x_mat @ ht) * (hc @ zi @ ht).T).real
-            s[:m, m] = s[m, :m] = np.einsum("ij,ij->i", hc @ xzi, h).real
-            s[m, m] = np.trace(xzi).real
-            d = x / z
-            s[:m, :m] += d[0] + np.diag(d[1:])
-
-            def direction(r_mat, r):
-                # solves A(dX, dx) = rp, A*(dy) + (dZ, dz) = rd and the
-                # linearized complementarity dX Z + X dZ = R, dx z + x dz = r
-                k = (r_mat - x_mat @ rd_mat) @ zi
-                dy = np.linalg.solve(s, rp - a_sdp(k) - a_lp((r - x * rd) / z))
-                dz_mat = rd_mat - at_sdp(dy)
-                dz = rd - at_lp(dy)
-                return _herm((r_mat - x_mat @ dz_mat) @ zi), (r - x * dz) / z, dy, dz_mat, dz
-
-            def step_lengths(dx_mat, dx, dz_mat, dz, frac=1.0):
-                return (min(1.0, frac * _max_step(x_mat, dx_mat), frac * _max_step_lp(x, dx)),
-                        min(1.0, frac * _max_step(z_mat, dz_mat), frac * _max_step_lp(z, dz)))
-
-            xz = x_mat @ z_mat
-            dxa, dxla, _, dza, dzla = direction(-xz, -x * z)
-            ap, ad = step_lengths(dxa, dxla, dza, dzla)
-            mu_aff = (np.vdot(x_mat + ap * dxa, z_mat + ad * dza).real
-                      + (x + ap * dxla) @ (z + ad * dzla)) / nu
-            sigma = min(1.0, (mu_aff / mu) ** 3)
-            dx_mat, dx, dy, dz_mat, dz = direction(sigma * mu * eye - xz - dxa @ dza,
-                                                   sigma * mu - x * z - dxla * dzla)
-            # step to a fraction 0.9-0.99 of the boundary, larger when the
-            # predictor could step far (Toh, Todd and Tutuncu's SDPT3 rule)
-            ap, ad = step_lengths(dx_mat, dx, dz_mat, dz, 0.9 + 0.09 * min(ap, ad))
+            state = _newton_step(h, *state)
         except np.linalg.LinAlgError:
-            return  # an iterate left the cone interior numerically
-        x_mat = x_mat + ap * dx_mat
-        x = x + ap * dx
-        y = y + ad * dy
-        z_mat = z_mat + ad * dz_mat
-        z = z + ad * dz
-        mu = (np.vdot(x_mat, z_mat).real + x @ z) / nu
-        yield _unit_trace(x_mat), z_mat, np.maximum(y[:m], 0.0), mu
+            # find who broke down: a stacked factorization fails as a whole
+            steps = {}
+            for i in range(members.size):
+                try:
+                    steps[i] = _newton_step(h[i:i + 1], *(a[i:i + 1] for a in state))
+                except np.linalg.LinAlgError:
+                    pass
+            ok = list(steps)
+            if not ok:
+                return
+            members, h = members[ok], h[ok]
+            state = tuple(np.concatenate(parts) for parts in zip(*steps.values()))
+        x_mat, _, y, z_mat, _, mu = state
+        done = yield members, _unit_trace(x_mat), z_mat, np.maximum(y[:, :m], 0.0), mu
+        if done is not None and done.any():
+            members, h = members[~done], h[~done]
+            state = tuple(a[~done] for a in state)
 
 
 def _rank_finish(w, z):
-    """Zero the eigen-directions of W that the complementarity indicator
-    lambda(W) / (v^H Z v) puts clearly in the null space of W* and
-    renormalize.  Returns the finished W and whether every direction was
-    classified clearly (indicator outside the ambiguous band)."""
+    """Zero the eigen-directions of each W that the complementarity
+    indicator lambda(W) / (v^H Z v) puts clearly in the null space of W*
+    and renormalize.  Returns the finished Ws and, per member, whether
+    every direction was classified clearly (indicator outside the ambiguous
+    band)."""
     lam, v = np.linalg.eigh(w)
-    zv = np.einsum("ji,jk,ki->i", v.conj(), z, v).real
+    zv = np.einsum("kji,kjl,kli->ki", v.conj(), z, v).real
     keep = lam > _CLEAR * zv
-    vk = v[:, keep]
-    clear = not np.any(keep & (zv > _CLEAR * lam))
-    return _unit_trace((vk * lam[keep]) @ vk.conj().T), clear
+    clear = ~np.any(keep & (zv > _CLEAR * lam), axis=1)
+    w_fin = np.stack([(vi[:, ki] * li[ki]) @ vi[:, ki].conj().T
+                      for li, vi, ki in zip(lam, v, keep)])
+    return _unit_trace(w_fin), clear
+
+
+def _matched_beamforming(h):
+    # the single-user optimum
+    w = np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
+    obj = float(np.linalg.norm(h) ** 2)
+    return McSolution(CovarianceMatrix(w), obj, obj, 0.0, 0, True, (obj,))
+
+
+def solve_mc_covariances(channel_sets, tol=1e-6, max_iter=100_000):
+    """Max-min optimal covariances of channel sets that share one shape
+    (M, N), solved on one batched path; see module docstring.
+
+    Returns one McSolution per set, equal to what ``solve_mc_covariance``
+    returns for that set alone.  ``max_iter`` caps each set's Newton steps,
+    and ``best_objective_history`` holds the set's best objective after each
+    of its steps; ``converged`` is False when the certified gap of the
+    returned covariance is still above tol.
+    """
+    hch = np.stack([ch.channels for ch in channel_sets]).astype(np.complex128)
+    k, m, n = hch.shape
+    if m == 1:
+        return [_matched_beamforming(h[0]) for h in hch]
+
+    ub = _dual_bound(hch, np.ones((k, m)))
+    w, z = np.tile(np.eye(n) / n + 0j, (k, 1, 1)), np.tile(np.eye(n) + 0j, (k, 1, 1))
+    w_out, obj_out = [None] * k, np.full(k, -np.inf)
+    history = [[] for _ in range(k)]
+    mu_prev = np.full(k, np.inf)
+    path = _central_path(hch)
+    done = None
+    for _ in range(max_iter):
+        try:
+            idx, w_step, z_step, q, mu = path.send(done)
+        except StopIteration:
+            break  # every member ended
+        w[idx], z[idx] = w_step, z_step
+        h = hch[idx]
+        obj = _gains(h, w_step).min(axis=1)
+        for i, o in zip(idx, obj.tolist()):
+            hist = history[i]
+            hist.append(max(o, hist[-1]) if hist else o)
+        ub_q = np.full(idx.size, np.inf)
+        has_q = q.sum(axis=1) > 0
+        if has_q.any():
+            ub_q[has_q] = _dual_bound(h[has_q], q[has_q])
+        ub[idx] = np.where(ub_q < ub[idx], ub_q, ub[idx])
+        done = np.zeros(idx.size, dtype=bool)
+        near = np.flatnonzero(ub[idx] - obj <= tol / 10)
+        if near.size:
+            w_fin, clear = _rank_finish(w_step[near], z_step[near])
+            obj_fin = _gains(h[near], w_fin).min(axis=1)
+            for j, wf, cl, of in zip(near, w_fin, clear, obj_fin):
+                i = idx[j]
+                if cl and ub[i] - of <= tol:
+                    w_out[i], done[j] = wf, True
+                    continue
+                if of > obj_out[i]:
+                    w_out[i], obj_out[i] = wf, of
+                # rounding error dominates the step: keep the best
+                done[j] = mu[j] >= mu_prev[i]
+        mu_prev[idx] = mu
+
+    w_out = np.stack([wo if wo is not None else _rank_finish(w[i:i + 1], z[i:i + 1])[0][0]
+                      for i, wo in enumerate(w_out)])
+    obj = _gains(hch, w_out).min(axis=1).tolist()
+    return [McSolution(CovarianceMatrix(wo), ob, u, u - ob, len(hist), u - ob <= tol,
+                       tuple(hist))
+            for wo, ob, u, hist in zip(w_out, obj, ub.tolist(), history)]
 
 
 def solve_mc_covariance(ch, tol=1e-6, max_iter=100_000):
-    """Max-min optimal covariance for a channel set; see module docstring.
-
-    ``max_iter`` caps the Newton steps.  Returns an McSolution whose
-    ``best_objective_history`` holds the best objective after each Newton
-    step; ``converged`` is False when the certified gap of the returned
-    covariance is still above tol.
-    """
-    hch = ch.channels.astype(np.complex128)
-    m, n = hch.shape
-    if m == 1:
-        # matched beamforming is the single-user optimum
-        h = hch[0]
-        w = np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
-        obj = float(np.linalg.norm(h) ** 2)
-        return McSolution(
-            CovarianceMatrix(w), obj, obj, 0.0, 0, True, (obj,)
-        )
-
-    q_best = np.ones(m)
-    ub = _dual_bound(hch, q_best)
-    w, z = np.eye(n) / n + 0j, np.eye(n) + 0j
-    w_out, obj_out = None, -np.inf
-    history = []
-    mu_prev = np.inf
-    for _, (w, z, q, mu) in zip(range(max_iter), _central_path(hch)):
-        obj = float(_gains(hch, w).min())
-        history.append(max(obj, history[-1]) if history else obj)
-        ub_q = _dual_bound(hch, q) if q.sum() > 0 else np.inf
-        if ub_q < ub:
-            ub, q_best = ub_q, q
-        if ub - obj <= tol / 10:
-            w_fin, clear = _rank_finish(w, z)
-            obj_fin = float(_gains(hch, w_fin).min())
-            if clear and ub - obj_fin <= tol:
-                w_out = w_fin
-                break
-            if obj_fin > obj_out:
-                w_out, obj_out = w_fin, obj_fin
-            if mu >= mu_prev:
-                break  # rounding error dominates the step: keep the best
-        mu_prev = mu
-    if w_out is None:
-        w_out = _rank_finish(w, z)[0]
-    obj = float(_gains(hch, w_out).min())
-    gap = ub - obj
-    return McSolution(
-        CovarianceMatrix(w_out), obj, ub, gap, len(history), gap <= tol, tuple(history)
-    )
+    """Max-min optimal covariance for one channel set: a batch of one of
+    ``solve_mc_covariances``."""
+    return solve_mc_covariances([ch], tol, max_iter)[0]

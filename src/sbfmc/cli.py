@@ -108,6 +108,8 @@ def parse_config(text):
         raise ConfigError("power_db must be sorted ascending")
     if cfg.n < 1 or cfg.m < 1 or cfg.rank < 1:
         raise ConfigError("n, m and rank must be >= 1")
+    if any(m < 1 for m in cfg.m_grid):
+        raise ConfigError("m_grid entries must be >= 1")
     if cfg.n_realizations < 1 or cfg.solver_max_iter < 1:
         raise ConfigError("n_realizations and solver_max_iter must be >= 1")
     if not (math.isfinite(cfg.solver_tol) and cfg.solver_tol > 0.0):
@@ -148,14 +150,15 @@ def _rate_entries(cfg):
 def _solve_realizations(cfg, m):
     """Channel set, covariance solution and gains for every realization of
     an M-user population; realization j draws from channel sub-stream
-    indexed by (m, j)."""
-    out = []
+    indexed by (m, j), and all of them are solved as one batch."""
     base = SeededStream(cfg.seed, 0)
-    for j in range(cfg.n_realizations):
-        rng = base.substream(m * 1_000_000 + j)
-        ch = sampling.ChannelSet(sampling.randn_complex(rng, m, cfg.n))
-        sol = capacity.solve_mc_covariance(ch, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-        rho, rho_min = capacity.rho_values(sol.covariance, ch)
+    chs = [sampling.ChannelSet(
+        sampling.randn_complex(base.substream(m * 1_000_000 + j), m, cfg.n))
+        for j in range(cfg.n_realizations)]
+    sols = capacity.solve_mc_covariances(chs, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    out = []
+    for ch, sol in zip(chs, sols):
+        rho_min = capacity.rho_values(sol.covariance, ch)[1]
         rank = sampling.psd_sqrt(sol.covariance.entries)[1]
         out.append((ch, sol, rho_min, rank))
     return out

@@ -123,18 +123,6 @@ def make_constellation(name):
     return Constellation(name, points, labels)
 
 
-def gray_adjacency_ok(constellation):
-    """True when grid-adjacent points differ in exactly one label bit."""
-    pts, labs = constellation.points, constellation.labels
-    step = np.min(np.abs(pts[:, None] - pts[None, :])[np.triu_indices(len(pts), 1)])
-    ok = True
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(abs(pts[i] - pts[j]) - step) < 1e-9:
-                ok &= int(labs[i] ^ labs[j]).bit_count() == 1
-    return ok
-
-
 def bits_to_symbol_indices(bits, constellation):
     """Pack a 0/1 array into constellation point indices (Gray labels)."""
     bps = constellation.bits_per_symbol
@@ -536,16 +524,6 @@ LINK_SCHEMES = {
 }
 
 SCHEMES = tuple(LINK_SCHEMES)
-
-
-def transmit_frame(cfg, bits, stream):
-    """Encode one frame of payload bits into the (N, T) transmit signal."""
-    ops = _SchemeOps(cfg)
-    bits = np.asarray(bits)
-    expected = frame_bit_count(cfg, ops)
-    if bits.size != expected:
-        raise ValueError(f"expected {expected} bits, got {bits.size}")
-    return ops.link.encode(cfg, ops, bits, stream.generator())[0]
 
 
 def _simulate_one_frame(cfg, ops, ch, rx, rng):

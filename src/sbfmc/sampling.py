@@ -149,12 +149,3 @@ def sample_effective_gain(law, stream_or_rng, size=None):
     rng = stream_or_rng.generator() if isinstance(stream_or_rng, SeededStream) else stream_or_rng
     out = law.sample(rng, 1 if size is None else int(size))
     return float(out[0]) if size is None else out
-
-
-def sample_exponential_vector(r, stream_or_rng, size=None):
-    """r i.i.d. unit-mean exponentials; (size, r) block when size given."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    rng = stream_or_rng.generator() if isinstance(stream_or_rng, SeededStream) else stream_or_rng
-    shape = (r,) if size is None else (int(size), r)
-    return rng.standard_exponential(shape)

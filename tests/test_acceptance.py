@@ -25,6 +25,8 @@ from sbfmc.quadrature import adaptive_gauss_legendre
 from sbfmc.rates import SchemeParams
 from sbfmc.sampling import SeededStream, WeightSampler, sample_channel_set
 
+from helpers import sample_exponential_vector
+
 QPSK = make_constellation("qpsk")
 BPSK = make_constellation("bpsk")
 
@@ -228,7 +230,7 @@ def test_criterion_08_monte_carlo_rate_closure():
     lam = np.array([0.5, 0.3, 0.2])
     mu = np.array([1.0, 2.0, 3.0])
     bp = rates.BinghamUserParams(rho, tuple(mu), tuple(lam))
-    zeta = sampling.sample_exponential_vector(rank, SeededStream(808, 4), n)
+    zeta = sample_exponential_vector(rank, SeededStream(808, 4), n)
     vals = (
         math.log1p(rho * power)
         + np.log(zeta @ (mu / mu.sum()))

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from sbfmc import capacity, sampling
-from sbfmc.capacity import CovarianceMatrix, rho_values, solve_mc_covariance
+from sbfmc.capacity import (
+    CovarianceMatrix,
+    rho_values,
+    solve_mc_covariance,
+    solve_mc_covariances,
+)
 from sbfmc.sampling import ChannelSet, SeededStream, sample_channel_set
 
 # objective of the frozen (N=4, M=8) instance below, from a one-off
@@ -159,6 +164,61 @@ class TestRankFinish:
         sol = solve_mc_covariance(rates_sweep_draw(24, 81))
         assert sol.converged
         assert sol.gap <= 1e-6
+
+
+def assert_same_solution(got, ref):
+    assert got.covariance.entries.tobytes() == ref.covariance.entries.tobytes()
+    assert (got.objective, got.upper_bound, got.gap, got.iterations, got.converged,
+            got.best_objective_history) == (ref.objective, ref.upper_bound, ref.gap,
+                                             ref.iterations, ref.converged,
+                                             ref.best_objective_history)
+
+
+class TestBatchedSolve:
+    """A batch steps its members on one path; each member must end exactly
+    as its own one-member solve does, whenever the others stop."""
+
+    def check_batch(self, channel_sets, **kw):
+        sols = solve_mc_covariances(channel_sets, **kw)
+        assert len(sols) == len(channel_sets)
+        for ch, sol in zip(channel_sets, sols):
+            assert_same_solution(sol, solve_mc_covariance(ch, **kw))
+        return sols
+
+    @pytest.mark.parametrize("m", [2, 8, 16, 32])
+    def test_rates_sweep_population(self, m):
+        sols = self.check_batch([rates_sweep_draw(m, j) for j in range(14)])
+        assert all(sol.converged for sol in sols)
+        # members take different step counts, so some leave the batch early
+        assert len({sol.iterations for sol in sols}) > 1
+
+    def test_degenerate_draw_in_batch(self):
+        sols = self.check_batch([rates_sweep_draw(24, j) for j in range(78, 85)])
+        assert sols[3].converged  # rates_sweep_draw(24, 81)
+
+    def test_max_iter_caps_every_member(self):
+        sols = self.check_batch([rates_sweep_draw(16, j) for j in range(6)], max_iter=2)
+        assert [sol.iterations for sol in sols] == [2] * 6
+        assert not any(sol.converged for sol in sols)
+
+    def test_single_user_batch(self):
+        sols = self.check_batch([rates_sweep_draw(1, j) for j in range(4)])
+        assert [sol.iterations for sol in sols] == [0] * 4
+
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_scaled_members_do_not_disturb_the_others(self, m):
+        # draws scaled by 2^10 break down numerically after long paths (the
+        # absolute solver_tol does not scale with them); each breakdown, and
+        # each member finishing, must leave every other member untouched
+        base = [rates_sweep_draw(m, j) for j in range(4)]
+        scaled = [ChannelSet(ch.channels * 2.0**10) for ch in base]
+        sols = self.check_batch([c for pair in zip(base, scaled) for c in pair])
+        assert all(sol.converged for sol in sols[::2])
+        assert not all(sol.converged for sol in sols[1::2])
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError):
+            solve_mc_covariances([rates_sweep_draw(8, 0), rates_sweep_draw(16, 0)])
 
 
 def test_objective_concave_along_segments():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -246,6 +247,9 @@ def test_shipped_rates_config_all_certified(tmp_path):
     _, rows = rows_of(out_path.read_text())
     assert len(rows) == 30
     assert [r["status"] for r in rows if r["status"].split(";")[0] != "ok"] == []
+    # the full shipped output, byte for byte
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "1bdca6f35f88da1ac8fc3341851623cdd9a7e362a05c26585f44fc650c1774cf")
 
 
 def test_missing_config_file(tmp_path):
@@ -265,6 +269,7 @@ def test_bad_scheme_reports_input_error(tmp_path, command):
     "solver_max_iter = 0",
     "power_db = nan", "power_db = 0, inf", "power_db = -inf, 10",
     "frame_length = -1",
+    "m_grid = -3", "m_grid = 0", "m_grid = 2, 0, 8",
 ])
 def test_out_of_range_value_reports_input_error(tmp_path, capsys, line):
     # each of these once ran and printed nan or noconv rows, or failed deep

@@ -17,13 +17,13 @@ from sbfmc.linksim import (
     detect_qostbc,
     estimate_user_rates_mc,
     frame_bit_count,
-    gray_adjacency_ok,
     make_constellation,
     qostbc_encode,
     simulate_worst_user_ber,
-    transmit_frame,
 )
 from sbfmc.sampling import ChannelSet, SeededStream, sample_channel_set
+
+from helpers import gray_adjacency_ok, transmit_frame
 
 QPSK = make_constellation("qpsk")
 BPSK = make_constellation("bpsk")

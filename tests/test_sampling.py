@@ -13,8 +13,9 @@ from sbfmc.sampling import (
     psd_sqrt,
     sample_channel_set,
     sample_effective_gain,
-    sample_exponential_vector,
 )
+
+from helpers import sample_exponential_vector
 
 N_KS = 10**5
 
