@@ -335,15 +335,16 @@ def solve_mc_covariances(channel_sets, tol=1e-6, max_iter=100_000):
         has_q = q.sum(axis=1) > 0
         if has_q.any():
             ub_q[has_q] = _dual_bound(h[has_q], q[has_q])
-        ub[idx] = np.where(ub_q < ub[idx], ub_q, ub[idx])
+        ub_step = np.where(ub_q < ub[idx], ub_q, ub[idx])
+        ub[idx] = ub_step
         done = np.zeros(idx.size, dtype=bool)
-        near = np.flatnonzero(ub[idx] - obj <= tol / 10)
+        near = np.flatnonzero(ub_step - obj <= tol / 10)
         if near.size:
             w_fin, clear = _rank_finish(w_step[near], z_step[near])
             obj_fin = _gains(h[near], w_fin).min(axis=1)
             for j, wf, cl, of in zip(near, w_fin, clear, obj_fin):
                 i = idx[j]
-                if cl and ub[i] - of <= tol:
+                if cl and ub_step[j] - of <= tol:
                     w_out[i], done[j] = wf, True
                     continue
                 if of > obj_out[i]:
