@@ -114,6 +114,8 @@ def parse_config(text):
         raise ConfigError("n_realizations and solver_max_iter must be >= 1")
     if not (math.isfinite(cfg.solver_tol) and cfg.solver_tol > 0.0):
         raise ConfigError("solver_tol must be a finite positive number")
+    if not (math.isfinite(cfg.rho_min) and cfg.rho_min > 0.0):
+        raise ConfigError("rho_min must be a finite positive number")
     if cfg.frame_length < 0:
         raise ConfigError("frame_length must be >= 0 (0 = constellation default)")
     return cfg

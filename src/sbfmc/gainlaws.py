@@ -16,7 +16,6 @@ of the laws below (all unit mean except the point mass location):
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .hypoexp import ExponentialMixture
 
@@ -127,6 +126,8 @@ class EllipticAlamoutiGain:
         return np.where(inside, (2 * r - 1) * (2 * r - 2) / r * u * (1 - u) ** (2 * r - 3), 0.0)
 
     def cdf(self, t):
+        from scipy.special import betainc  # imported here: see the package docstring
+
         t = np.asarray(t, dtype=np.float64)
         r = self.rank
         u = np.clip(t, 0, r) / r

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammainc
 
 #: means closer than this (relative) must be merged into one multiplicity
 MERGE_TOL = 1e-10
@@ -173,6 +172,8 @@ class ExponentialMixture:
         return self._prefactor() * out
 
     def cdf(self, z):
+        from scipy.special import gammainc  # imported here: see the package docstring
+
         z = np.asarray(z, dtype=np.float64)
         out = np.zeros_like(z)
         for coef, q, d in self._terms():

@@ -270,6 +270,7 @@ def test_bad_scheme_reports_input_error(tmp_path, command):
     "power_db = nan", "power_db = 0, inf", "power_db = -inf, 10",
     "frame_length = -1",
     "m_grid = -3", "m_grid = 0", "m_grid = 2, 0, 8",
+    "rho_min = inf", "rho_min = nan", "rho_min = 0", "rho_min = -1",
 ])
 def test_out_of_range_value_reports_input_error(tmp_path, capsys, line):
     # each of these once ran and printed nan or noconv rows, or failed deep
@@ -301,12 +302,56 @@ def test_malformed_sbf_threads_reports_input_error(tmp_path, monkeypatch, capsys
     assert "SBF_THREADS" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    # the k-d tree of the ML search is imported on first use: scipy.spatial
-    # would add ~30% to the import time of every command
+def run_fresh(code, **env):
+    """stdout of `code` run in a new interpreter that imports this sbfmc."""
     src = str(pathlib.Path(sbfmc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, sbfmc.cli; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src, **env)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+                          text=True, timeout=300, check=True)
+    return proc.stdout
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy is imported on first use: scipy.special (the mixture and
+    # elliptic-Alamouti CDFs) would add ~0.26 s to the ~0.14 s import of
+    # sbfmc.cli, and scipy.spatial (the k-d tree of the ML search) ~0.41 s,
+    # medians of 11 fresh interpreters on a 2-core x86 box
+    code = ("import sys, sbfmc.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_commands_without_a_cdf_leave_scipy_special_unloaded(tmp_path):
+    configs = {
+        "rates": "n = 4\nm_grid = 2, 3\npower_db = 10\nn_realizations = 2\n",
+        "gaps": "power_db = 0, 20\nrank = 3\n",
+        "solve-cov": "n = 4\nm = 3\n",
+        "ber": "m = 3\nschemes = gauss_sbf\nframe_length = 288\nn_frames = 1\n",
+    }
+    calls = []
+    for command, text in configs.items():
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(text)
+        calls.append([command, "--config", str(path), "--out", str(tmp_path / f"{command}.csv")])
+    code = ("import sys, sbfmc.cli\n"
+            f"print([sbfmc.cli.main(argv) for argv in {calls!r}])\n"
+            "print('scipy.special' in sys.modules)\n")
+    assert run_fresh(code).split("\n")[:2] == ["[0, 0, 0, 0]", "False"]
+
+
+def test_deferred_import_in_frame_threads(tmp_path):
+    # verify's bingham_phi row makes the process's first mixture CDF call,
+    # and so imports scipy.special, in a worker thread when SBF_THREADS > 1
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(TestVerify.CFG)
+    outs = {}
+    for threads in ("4", "1"):
+        out = tmp_path / f"verify{threads}.csv"
+        argv = ["verify", "--config", str(cfg), "--out", str(out)]
+        code = ("import sys, sbfmc.cli\n"
+                "assert 'scipy.special' not in sys.modules\n"
+                f"print(sbfmc.cli.main({argv!r}))\n"
+                "print('scipy.special' in sys.modules)\n")
+        assert run_fresh(code, SBF_THREADS=threads).split("\n")[:2] == ["0", "True"]
+        outs[threads] = out.read_bytes()
+    assert outs["4"] == outs["1"]
