@@ -106,6 +106,10 @@ def parse_config(text):
         raise ConfigError("power_db entries must be finite")
     if sorted(cfg.power_db) != cfg.power_db:
         raise ConfigError("power_db must be sorted ascending")
+    try:
+        db_to_linear(cfg.power_db[-1])
+    except OverflowError:
+        raise ConfigError(f"power_db entry {cfg.power_db[-1]:g} overflows as a linear power") from None
     if cfg.n < 1 or cfg.m < 1 or cfg.rank < 1:
         raise ConfigError("n, m and rank must be >= 1")
     if any(m < 1 for m in cfg.m_grid):

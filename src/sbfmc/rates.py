@@ -77,56 +77,51 @@ def rate_sbf_gauss(p):
     return specfun.exp_e1_scaled(1.0 / beta)
 
 
-# fewer than about 8 significant digits of the bracket survive when its
-# largest term exceeds its value by more than this factor
-_BRACKET_MAX_CANCELLATION = 1e8
+def _log_inv_u(beta, p):
+    """lam = log(1 + 1/beta) = -log u, u = beta / (1 + beta): u^k = exp(-k lam)
+    keeps a few ulp as u nears 1.  Below beta = 1 it is taken as log1p(beta)
+    - log(beta), which a subnormal beta does not overflow.  ValueError naming
+    p's rank and power when beta is not finite."""
+    if not math.isfinite(beta):
+        raise ValueError(f"elliptic rate at rank {p.rank}, power {p.power:g}: "
+                         f"rank * rho_min * power is {beta}")
+    return math.log1p(1.0 / beta) if beta >= 1.0 else math.log1p(beta) - math.log(beta)
 
 
-def _bracket(beta, n, p):
-    """log(1 + beta) - H_n - sum_{k=1}^n C(n,k) (-1)^k / (k (1+beta)^k).
+def _positive_series(beta, lam, coef):
+    """sum_{k>=1} u^k coef(k), u = exp(-lam), for a positive non-increasing
+    coef.  Past K terms the tail is below u^K (1 + beta) times the sum, so
+    K = (39 + log(1 + beta)) / lam leaves out less than 2^-56 of it."""
+    k_max = math.ceil((39.0 + math.log1p(beta)) / lam)
+    return math.fsum(math.exp(-k * lam) * coef(k) for k in range(1, k_max + 1))
 
-    The sum alternates and cancels at high n and low beta.  Raises
-    ValueError, naming the rank and power of the scheme parameters p, when
-    a term overflows or when the largest term exceeds the result by more
-    than _BRACKET_MAX_CANCELLATION.
-    """
-    log_term = math.log1p(beta)
-    harmonic = float(specfun.harmonic(n))
-    total = log_term - harmonic
-    largest = max(abs(log_term), harmonic)
-    base = 1.0 + beta
-    try:
-        for k in range(1, n + 1):
-            term = math.comb(n, k) * (-1) ** k / (k * base**k)
-            total -= term
-            largest = max(largest, abs(term))
-    except OverflowError:
-        raise ValueError(
-            f"elliptic closed form overflows at rank {p.rank}, power {p.power:g}"
-        ) from None
-    if largest > _BRACKET_MAX_CANCELLATION * abs(total):
-        raise ValueError(
-            f"elliptic closed form cancels at rank {p.rank}, power {p.power:g}: "
-            f"largest term {largest:.3g}, result {total:.3g}"
-        )
-    return total
+
+def _log_tail(beta, lam, n):
+    """T(beta, n) = sum_{k>=1} u^k / (n + k) = u Phi(u, 1, n + 1), Phi the
+    Lerch transcendent.  Where u^n >= 1/e the finite form (1 + 1/beta)^n
+    (log(1 + beta) - sum_{j<=n} u^j / j) loses under five bits to cancellation
+    for n <= 1000; elsewhere beta < n, and the series ends within
+    (39 + log(1 + n)) n + 1 terms."""
+    if n * lam > 1.0:
+        return _positive_series(beta, lam, lambda k: 1.0 / (n + k))
+    head = math.fsum(math.exp(-j * lam) / j for j in range(1, n + 1))
+    return math.exp(n * lam) * (math.log1p(beta) - head)
 
 
 def rate_sbf_ellip(p):
     """Ellipsoid-weight SBF rate in closed form.
 
-    (1 + 1/(r rho P))^(r-1) [log(1 + r rho P) - H_{r-1}
-        - sum_{k=1}^{r-1} C(r-1,k) (-1)^k / (k (1 + r rho P)^k)];
-    collapses to log(1 + rho P) for rank 1.
+    sum_{k>=1} u^k / (r - 1 + k), u = beta / (1 + beta), beta = r rho P: the
+    binomial sum (1 + 1/beta)^(r-1) [log(1 + beta) - H_{r-1} - sum_{k=1}^{r-1}
+    C(r-1,k) (-1)^k / (k (1 + beta)^k)] in positive terms.  Collapses to
+    log(1 + rho P) for rank 1.
     """
     if p.rank == 1:
         return rate_mc(p)
     beta = p.rank * p.rho_min * p.power
     if beta == 0.0:
         return 0.0
-    # the bracket goes first: the prefactor overflows only where it cancels
-    bracket = _bracket(beta, p.rank - 1, p)
-    return (1.0 + 1.0 / beta) ** (p.rank - 1) * bracket
+    return _log_tail(beta, _log_inv_u(beta, p), p.rank - 1)
 
 
 def rate_sbf_alam_gauss(p):
@@ -140,19 +135,22 @@ def rate_sbf_alam_gauss(p):
 
 
 def rate_sbf_alam_ellip(p):
-    """Ellipsoid-weight SBF-Alamouti rate C1(P) - C2(P), rank >= 2."""
+    """Ellipsoid-weight SBF-Alamouti rate C1(P) - C2(P), rank r >= 2.
+
+    With u and beta as in rate_sbf_ellip and a = 2r - 2 it is the positive
+    series sum_{k>=1} u^k (4r - 3 + k) / ((a + k) (a + 1 + k)), summed as
+    such for beta < a and as (1 - a/beta) T(beta, a) + a/(a + 1) above.
+    """
     r = p.rank
     if r < 2:
         raise ValueError(f"elliptic Alamouti rate needs rank >= 2, got {r}")
     beta = r * p.rho_min * p.power
     if beta == 0.0:
         return 0.0
-    # the brackets go first: the prefactors overflow only where they cancel
-    b1 = _bracket(beta, 2 * r - 2, p)
-    b2 = _bracket(beta, 2 * r - 1, p)
-    c1 = (2 * r - 1) * (1.0 + 1.0 / beta) ** (2 * r - 2) * b1
-    c2 = (2 * r - 2) * (1.0 + 1.0 / beta) ** (2 * r - 1) * b2
-    return c1 - c2
+    lam, a = _log_inv_u(beta, p), 2 * r - 2
+    if beta < a:
+        return _positive_series(beta, lam, lambda k: (2 * a + 1 + k) / ((a + k) * (a + 1 + k)))
+    return (beta - a) / beta * _log_tail(beta, lam, a) + a / (a + 1)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,10 @@
-"""Special functions and exact combinatorial identities used by the rate
-formulas: the exponential integral E1, complementary incomplete gamma at
-non-positive integer order, harmonic numbers, alternating binomial sums, and
-the log-moment integral of gamma-type densities.
+"""Special functions used by the rate formulas: the exponential integral E1,
+its overflow-free scaled form exp(x) E1(x), and exact harmonic numbers.
 
-All combinatorial quantities are exact rationals (``fractions.Fraction``);
-everything else is float64.
+Harmonic numbers are exact rationals (``fractions.Fraction``); everything
+else is float64.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -100,71 +97,8 @@ def exp_e1_scaled(x):
     return np.array([_e1_scaled(float(v)) for v in x.flat]).reshape(x.shape)
 
 
-def upper_incomplete_gamma_nonpos(alpha, x):
-    """Complementary incomplete gamma Gamma(alpha, x) for alpha in {0, -1}.
-
-    Gamma(0, x) = E1(x); Gamma(-1, x) follows from
-    Gamma(0, x) = -Gamma(-1, x) + exp(-x)/x.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"incomplete gamma requires x > 0, got {x}")
-    if alpha == 0:
-        return exp_integral_e1(x)
-    if alpha == -1:
-        return math.exp(-x) / x - exp_integral_e1(x)
-    raise ValueError(f"alpha must be 0 or -1, got {alpha}")
-
-
 def harmonic(n):
     """Exact harmonic number H_n = sum_{k=1}^n 1/k (H_0 = 0)."""
     if n < 0:
         raise ValueError(f"harmonic number needs n >= 0, got {n}")
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
-
-
-def alt_binom_over_k(n):
-    """Exact sum_{k=1}^n C(n,k) (-1)^k / k; equals -H_n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return sum(
-        (Fraction(math.comb(n, k) * (-1) ** k, k) for k in range(1, n + 1)),
-        Fraction(0),
-    )
-
-
-def binom_id_shift2(n):
-    """Exact sum_{k=0}^n C(n,k) (-1)^k / (k+2); equals 1/((n+2)(n+1))."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return sum(
-        (Fraction(math.comb(n, k) * (-1) ** k, k + 2) for k in range(n + 1)),
-        Fraction(0),
-    )
-
-
-def binom_id_shift2_sq(n):
-    """Exact sum_{k=0}^n C(n,k) (-1)^k / (k+2)^2.
-
-    Equals (H_{n+2} - 1) / ((n+2)(n+1)).
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return sum(
-        (Fraction(math.comb(n, k) * (-1) ** k, (k + 2) ** 2) for k in range(n + 1)),
-        Fraction(0),
-    )
-
-
-def theta(d, n):
-    """Log-moment integral int_0^inf z^n exp(-z/d) log(z) dz for d > 0.
-
-    Closed form n! d^(n+1) (H_n - gamma + log d); validated against adaptive
-    quadrature of the defining integral in the test suite.
-    """
-    d = float(d)
-    if not d > 0.0:
-        raise ValueError(f"theta requires d > 0, got {d}")
-    if n < 0:
-        raise ValueError(f"theta requires n >= 0, got {n}")
-    return math.factorial(n) * d ** (n + 1) * (float(harmonic(n)) - EULER_GAMMA + math.log(d))

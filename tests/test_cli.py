@@ -249,7 +249,7 @@ def test_shipped_rates_config_all_certified(tmp_path):
     assert [r["status"] for r in rows if r["status"].split(";")[0] != "ok"] == []
     # the full shipped output, byte for byte
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-        "1bdca6f35f88da1ac8fc3341851623cdd9a7e362a05c26585f44fc650c1774cf")
+        "7ba1c87b8f7930ffe0affc0344c67987b39bdd29f15eb0c2b9c3a2315e111074")
 
 
 def test_missing_config_file(tmp_path):
@@ -268,6 +268,7 @@ def test_bad_scheme_reports_input_error(tmp_path, command):
     "solver_tol = 0", "solver_tol = -1", "solver_tol = nan", "solver_tol = inf",
     "solver_max_iter = 0",
     "power_db = nan", "power_db = 0, inf", "power_db = -inf, 10",
+    "power_db = 4000", "power_db = 0, 4000",
     "frame_length = -1",
     "m_grid = -3", "m_grid = 0", "m_grid = 2, 0, 8",
     "rho_min = inf", "rho_min = nan", "rho_min = 0", "rho_min = -1",
@@ -282,16 +283,28 @@ def test_out_of_range_value_reports_input_error(tmp_path, capsys, line):
     assert line.split(" =")[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rank, power_db, fault", [(200, 10, "overflows"), (40, -20, "cancels")])
-def test_unevaluable_elliptic_closed_form_reports_input_error(tmp_path, capsys, rank, power_db,
-                                                             fault):
-    # the alternating sum of the elliptic closed form overflowed (a traceback,
-    # exit 1) or cancelled to a printed gap of -1.14e12 against a true 0.0099
+@pytest.mark.parametrize("rank, power_db", [(200, 10), (40, -20)])
+def test_formerly_refused_elliptic_gap_matches_quadrature(tmp_path, rank, power_db):
+    # the paper's alternating binomial sum overflows at rank 200 and cancels
+    # to -1.14e12 against a true rate of 0.0099 at rank 40
     code, text = run_cli(tmp_path, "gaps",
                          f"schemes = ellip_sbf\nrank = {rank}\npower_db = {power_db}\n")
+    assert code == 0
+    (row,) = rows_of(text)[1]
+    power = cli.db_to_linear(power_db)
+    rate = math.log1p(power) - float(row["gap_nats"])
+    law = rates.gain_law_for_scheme("ellip_sbf", rank)
+    # the oracle raises QuadratureError unless its error bound is within 1e-9
+    assert abs(rate - rates.quadrature_rate_oracle(law, 1.0, power)) <= 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["ellip_sbf", "ellip_sbf_alamouti"])
+def test_non_finite_elliptic_beta_reports_input_error(tmp_path, capsys, scheme):
+    # rank * rho_min * power = 3e308 overflows to inf
+    code, text = run_cli(tmp_path, "gaps", f"schemes = {scheme}\nrank = 3\npower_db = 3080\n")
     assert (code, text) == (2, "")
     err = capsys.readouterr().err
-    assert fault in err and f"rank {rank}" in err and f"power {10 ** (power_db / 10):g}" in err
+    assert "rank 3" in err and "power 1e+308" in err
 
 
 @pytest.mark.parametrize("command, config", [("ber", TestBer.CFG), ("gaps", "power_db = 0, 10\n")])

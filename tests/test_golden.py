@@ -39,9 +39,9 @@ CLI_CASES = {
 
 CLI_DIGESTS = {
     "ber": "8058093b4effdb87755e5d8a444ad24293d3c45de9d7f19182f6dca6eee400ac",
-    "gaps": "b3590a50d19b2d7a512247eaef1f250d38e375462726dda840ad06f397cc8b42",
-    "verify": "bb2866b954560863652a628a2a21d5e3a6e4c79316a871abfa58344ca935c4d3",
-    "rates": "f57f194c1254217d7f40f61d8a37ce38bd7153bcab6086da6d64b18968065fc8",
+    "gaps": "3bceb5929946e718c4b038dc4e0e193c23866c4e05707674a114811282431eae",
+    "verify": "424e979def2c4aaec4bb67c5d28259b75c96625f2f694c0674ec5d92f87e7f77",
+    "rates": "33d267c2c1b01e08e82e08771ba753894e5330931ef34261a9d33ab2a3c31f2d",
 }
 
 RANK4_COV = CovarianceMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))

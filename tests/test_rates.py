@@ -1,4 +1,6 @@
+import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -73,6 +75,60 @@ class TestClosedForms:
     def test_alam_ellip_needs_rank_two(self):
         with pytest.raises(ValueError):
             rates.rate_sbf_alam_ellip(SchemeParams(1.0, 10.0, 1))
+
+
+# 798 points: ranks 2-40, 60, 100 and 200 at rho = 1, -30 to 60 dB; the
+# paper's alternating binomial sums overflow or cancel at many of them
+ELLIPTIC_TABLE = pathlib.Path(__file__).with_name("elliptic_mpmath.csv")
+ELLIPTIC_RANKS = tuple(range(2, 41)) + (60, 100, 200)
+ELLIPTIC_POWERS_DB = tuple(range(-30, 61, 5))
+
+
+def elliptic_table():
+    with ELLIPTIC_TABLE.open() as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    return [(int(r["rank"]), int(r["power_db"]), float(r["ellip_sbf"]),
+             float(r["ellip_sbf_alamouti"])) for r in rows]
+
+
+def mpmath_elliptic_rates(mp, rank, power_db):
+    """Both elliptic rates at rho = 1, rounded from 40 digits.  Each uses
+    T(n) = sum_{k>=1} u^k / (n + k) = u^-n (log(1 + beta) - sum_{j<=n} u^j / j),
+    u = beta / (1 + beta), with guard digits for the cancellation."""
+    with mp.workdps(60):  # the exact product of rank and the float power
+        beta = mp.mpf(rank) * mp.mpf(10.0 ** (power_db / 10.0))
+
+    def tail(n):
+        with mp.workdps(60 + int(n * mp.log10(1 + 1 / beta))):
+            u = beta / (1 + beta)
+            return u ** -n * (mp.log1p(beta) - mp.fsum(u ** j / j for j in range(1, n + 1)))
+
+    with mp.workdps(40):
+        return (float(tail(rank - 1)),
+                float((2 * rank - 1) * tail(2 * rank - 2) - (2 * rank - 2) * tail(2 * rank - 1)))
+
+
+class TestEllipticAgainstMpmath:
+    def test_table_within_1e12(self):
+        table = elliptic_table()
+        assert [(r, db) for r, db, _, _ in table] == [
+            (r, db) for r in ELLIPTIC_RANKS for db in ELLIPTIC_POWERS_DB]
+        for rank, power_db, ellip, alam in table:
+            p = SchemeParams(1.0, 10.0 ** (power_db / 10.0), rank)
+            assert abs(rates.rate_sbf_ellip(p) / ellip - 1.0) <= 1e-12, (rank, power_db)
+            assert abs(rates.rate_sbf_alam_ellip(p) / alam - 1.0) <= 1e-12, (rank, power_db)
+
+    def test_table_recomputed_with_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for rank, power_db, ellip, alam in elliptic_table():
+            assert mpmath_elliptic_rates(mp, rank, power_db) == (ellip, alam), (rank, power_db)
+        # the finite form is u Phi(u, 1, n + 1), Phi the Lerch transcendent
+        for rank, power_db in [(2, -30), (40, 60)]:
+            with mp.workdps(60):
+                beta = mp.mpf(rank) * mp.mpf(10.0 ** (power_db / 10.0))
+                u = beta / (1 + beta)
+                ellip = float(u * mp.lerchphi(u, 1, rank))
+            assert ellip == mpmath_elliptic_rates(mp, rank, power_db)[0]
 
 
 class TestQuadratureOracle:

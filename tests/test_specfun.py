@@ -8,6 +8,9 @@ from scipy.special import exp1
 
 from sbfmc import specfun
 
+from helpers import (alt_binom_over_k, binom_id_shift2, binom_id_shift2_sq, theta,
+                     upper_incomplete_gamma_nonpos)
+
 
 def test_euler_gamma_value():
     # cross-check via -int_0^inf log(x) e^-x dx
@@ -81,25 +84,25 @@ class TestExpIntegral:
 class TestIncompleteGamma:
     def test_order_zero_same_code_path(self):
         for x in (0.1, 1.0, 7.0):
-            assert specfun.upper_incomplete_gamma_nonpos(0, x) == specfun.exp_integral_e1(x)
+            assert upper_incomplete_gamma_nonpos(0, x) == specfun.exp_integral_e1(x)
 
     def test_order_minus_one_identity(self):
         # Gamma(0,x) = -Gamma(-1,x) + exp(-x)/x
         for x in (0.5, 2.0, 10.0):
-            g0 = specfun.upper_incomplete_gamma_nonpos(0, x)
-            gm1 = specfun.upper_incomplete_gamma_nonpos(-1, x)
+            g0 = upper_incomplete_gamma_nonpos(0, x)
+            gm1 = upper_incomplete_gamma_nonpos(-1, x)
             assert abs(g0 + gm1 - math.exp(-x) / x) <= 1e-12
 
     def test_order_minus_one_value(self):
         assert abs(
-            specfun.upper_incomplete_gamma_nonpos(-1, 1.0) - 0.14849550677592205
+            upper_incomplete_gamma_nonpos(-1, 1.0) - 0.14849550677592205
         ) < 1e-12
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            specfun.upper_incomplete_gamma_nonpos(0, -1.0)
+            upper_incomplete_gamma_nonpos(0, -1.0)
         with pytest.raises(ValueError):
-            specfun.upper_incomplete_gamma_nonpos(1, 1.0)
+            upper_incomplete_gamma_nonpos(1, 1.0)
 
 
 class TestExactIdentities:
@@ -109,39 +112,39 @@ class TestExactIdentities:
         assert specfun.harmonic(10) == Fraction(7381, 2520)
 
     def test_alt_binom_values(self):
-        assert specfun.alt_binom_over_k(1) == -1
-        assert specfun.alt_binom_over_k(4) == Fraction(-25, 12)
+        assert alt_binom_over_k(1) == -1
+        assert alt_binom_over_k(4) == Fraction(-25, 12)
 
     def test_alt_binom_equals_minus_harmonic(self):
         for n in range(1, 41):
-            assert specfun.alt_binom_over_k(n) + specfun.harmonic(n) == 0
+            assert alt_binom_over_k(n) + specfun.harmonic(n) == 0
 
     def test_shift2_values(self):
-        assert specfun.binom_id_shift2(0) == Fraction(1, 2)
-        assert specfun.binom_id_shift2(2) == Fraction(1, 12)
-        assert specfun.binom_id_shift2(7) == Fraction(1, 72)
+        assert binom_id_shift2(0) == Fraction(1, 2)
+        assert binom_id_shift2(2) == Fraction(1, 12)
+        assert binom_id_shift2(7) == Fraction(1, 72)
 
     def test_shift2_closed_form(self):
         for n in range(41):
-            assert specfun.binom_id_shift2(n) == Fraction(1, (n + 2) * (n + 1))
+            assert binom_id_shift2(n) == Fraction(1, (n + 2) * (n + 1))
 
     def test_shift2_sq_values(self):
-        assert specfun.binom_id_shift2_sq(0) == Fraction(1, 4)
-        assert specfun.binom_id_shift2_sq(1) == Fraction(5, 36)
+        assert binom_id_shift2_sq(0) == Fraction(1, 4)
+        assert binom_id_shift2_sq(1) == Fraction(5, 36)
 
     def test_shift2_sq_closed_form(self):
         for n in range(41):
             expected = (specfun.harmonic(n + 2) - 1) / ((n + 2) * (n + 1))
-            assert specfun.binom_id_shift2_sq(n) == expected
+            assert binom_id_shift2_sq(n) == expected
 
 
 class TestTheta:
     def test_trivial_point(self):
-        assert abs(specfun.theta(1, 0) + specfun.EULER_GAMMA) < 1e-15
+        assert abs(theta(1, 0) + specfun.EULER_GAMMA) < 1e-15
 
     def test_frozen_values(self):
-        assert abs(specfun.theta(2, 1) - 4.46372606263365) < 1e-10
-        assert abs(specfun.theta(0.5, 2) - 0.05740928863463046) < 1e-12
+        assert abs(theta(2, 1) - 4.46372606263365) < 1e-10
+        assert abs(theta(0.5, 2) - 0.05740928863463046) < 1e-12
 
     def test_against_quadrature(self):
         for d in (0.1, 1.0, 5.0):
@@ -149,10 +152,10 @@ class TestTheta:
                 ref, _ = quad(
                     lambda z: z**n * np.exp(-z / d) * np.log(z), 0, np.inf, limit=400
                 )
-                assert abs(specfun.theta(d, n) - ref) <= 1e-8 * max(abs(ref), 1e-12)
+                assert abs(theta(d, n) - ref) <= 1e-8 * max(abs(ref), 1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            specfun.theta(0.0, 1)
+            theta(0.0, 1)
         with pytest.raises(ValueError):
-            specfun.theta(1.0, -1)
+            theta(1.0, -1)
