@@ -47,8 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import ChannelSet
-
 # lambda(W) / (v^H Z v) below _CLEAR: null direction of W*; above 1/_CLEAR:
 # range direction; in between: ambiguous
 _CLEAR = 1e-3
@@ -72,10 +70,6 @@ class CovarianceMatrix:
         if abs(np.trace(w).real - 1.0) > 1e-10:
             raise ValueError(f"trace {np.trace(w).real} != 1 (tol 1e-10)")
 
-    @property
-    def trace(self):
-        return float(np.trace(self.entries).real)
-
 
 @dataclass(frozen=True)
 class McSolution:
@@ -93,9 +87,9 @@ class McSolution:
 
 
 def rho_values(w, ch):
-    """Quadratic-form gains rho_i = h_i^H W h_i (clipped at 0) and rho_min."""
-    entries = w.entries if isinstance(w, CovarianceMatrix) else np.asarray(w)
-    h = ch.channels if isinstance(ch, ChannelSet) else np.asarray(ch)
+    """Quadratic-form gains rho_i = h_i^H W h_i (clipped at 0) and rho_min of
+    a CovarianceMatrix W and a ChannelSet."""
+    entries, h = w.entries, ch.channels
     if h.shape[1] != entries.shape[0]:
         raise ValueError(
             f"dimension mismatch: channels are {h.shape[1]}-dim, covariance {entries.shape[0]}"

@@ -17,7 +17,6 @@ sub-stream per frame.
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import capacity, linksim, rates, sampling
 from .gainlaws import MixtureGain, truncation_point
 from .hypoexp import ExponentialMixture
-from .linksim import SchemeConfig, make_constellation, n_workers
+from .linksim import SchemeConfig, make_constellation, map_in_order, n_workers
 from .quadrature import adaptive_gauss_legendre
 from .sampling import SeededStream
 
@@ -53,15 +52,10 @@ class ExperimentConfig:
     n_realizations: int = 100
     rank: int = 3
     rho_min: float = 1.0
-    frame_length: int = 0  # 0 = constellation default (1440 QPSK, 720 16-QAM)
+    frame_length: int = 0  # 0 = constellation default (720 16-QAM, else 1440)
     solver_tol: float = 1e-6
     solver_max_iter: int = 100_000
     output: str = "-"
-
-    def resolved_frame_length(self):
-        if self.frame_length > 0:
-            return self.frame_length
-        return 720 if self.constellation in ("qam16", "16qam") else 1440
 
 
 _INT_KEYS = {"n", "m", "seed", "n_samples", "n_frames", "n_realizations", "rank",
@@ -247,7 +241,7 @@ def _verify_row(cfg, scheme, rank, p_db, row_idx):
         closed = entry.rate(p)
         law = rates.gain_law_for_scheme(scheme, rank)
         quad = rates.quadrature_rate_oracle(law, rho, power, tol=1e-10)
-        draws = sampling.sample_effective_gain(law, rng, cfg.n_samples)
+        draws = law.sample(rng, cfg.n_samples)
         vals = np.log1p(rho * power * draws)
     mc = float(vals.mean())
     mc_se = float(vals.std(ddof=1) / math.sqrt(vals.size))
@@ -276,12 +270,7 @@ def cmd_verify(cfg):
         scheme, rank, p_db = tasks[idx]
         return _verify_row(cfg, scheme, rank, p_db, idx)
 
-    workers = min(n_workers(), len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, range(len(tasks))))
-    else:
-        rows = [run(i) for i in range(len(tasks))]
+    rows = map_in_order(run, len(tasks))
     code = 0 if all(row[-1] for row in rows) else 1
     return _csv(header, rows), code
 
@@ -293,7 +282,7 @@ def cmd_ber(cfg):
               "stderr", "bits", "status"]
     m_values = cfg.m_grid or [cfg.m]
     con = make_constellation(cfg.constellation)
-    t_len = cfg.resolved_frame_length()
+    t_len = cfg.frame_length or (720 if con.name == "qam16" else 1440)
     # names known only to the rate table (mc) have no link scheme
     schemes = [s for s in cfg.schemes
                if s in linksim.LINK_SCHEMES or s not in rates.RATE_SCHEMES]

@@ -25,10 +25,6 @@ class PointMassGain:
     location: float = 1.0
     name = "point_mass"
 
-    @property
-    def support(self):
-        return (self.location, self.location)
-
     def sample(self, rng, size):
         return np.full(size, self.location)
 
@@ -146,9 +142,6 @@ class MixtureGain:
     mixture: ExponentialMixture
     name = "exponential_mixture"
     support = (0.0, np.inf)
-
-    def pdf(self, t):
-        return self.mixture.pdf(t)
 
     def cdf(self, t):
         return self.mixture.cdf(t)

@@ -25,8 +25,6 @@ _ML_SEARCH_GUARD = 10**6
 # users: 2^22 one-slot precoded_sm rows take about 170 MB (42 B a row),
 # 2^22 four-slot QOSTBC rows about 380 MB (96 B a row)
 _ML_ROW_GUARD = 1 << 22
-# weight draws per step of estimate_user_rates_mc, which bounds its memory
-_MC_CHUNK = 1 << 16
 
 
 def n_workers():
@@ -38,24 +36,30 @@ def n_workers():
         raise ValueError(f"SBF_THREADS must be an integer, got {raw!r}") from None
 
 
+def map_in_order(fn, n):
+    """[fn(0), ..., fn(n - 1)], on up to n_workers() threads when n > 1."""
+    workers = min(n_workers(), n)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(n)))
+    return [fn(i) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # constellations
 
 
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-energy complex constellation with Gray bit labels; point i
-    carries the bit pattern labels[i]."""
+    """Unit-energy complex constellation with Gray bit labels: point i
+    carries the bit pattern of its index i, most significant bit first."""
 
     name: str
     points: np.ndarray
-    labels: np.ndarray
 
     def __post_init__(self):
         if abs(np.mean(np.abs(self.points) ** 2) - 1.0) > 1e-12:
             raise ValueError(f"{self.name}: average energy != 1")
-        if sorted(self.labels.tolist()) != list(range(len(self.points))):
-            raise ValueError(f"{self.name}: labels must be a permutation of 0..K-1")
 
     @property
     def size(self):
@@ -64,11 +68,6 @@ class Constellation:
     @property
     def bits_per_symbol(self):
         return int(round(math.log2(self.size)))
-
-    def index_of_label(self):
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.labels] = np.arange(self.size)
-        return inv
 
     @functools.cached_property
     def slicer(self):
@@ -97,30 +96,33 @@ def _level_midpoints(x):
 
 _GRAY2 = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
 
+#: every accepted spelling of a constellation name, lower-cased, mapped to
+#: its canonical name
+CONSTELLATION_NAMES = {"bpsk": "bpsk", "qpsk": "qpsk", "qam16": "qam16", "16qam": "qam16"}
 
-def make_constellation(name):
-    """BPSK, Gray QPSK or Gray 16-QAM, unit average energy."""
-    name = name.lower()
+
+def make_constellation(spelling):
+    """BPSK, Gray QPSK or Gray 16-QAM, unit average energy, named by the
+    canonical name of a spelling in CONSTELLATION_NAMES, in any letter
+    case."""
+    name = CONSTELLATION_NAMES.get(spelling.lower())
+    if name is None:
+        raise ValueError(f"unknown constellation {spelling!r}")
     if name == "bpsk":
         points = np.array([1.0 + 0j, -1.0 + 0j])
-        labels = np.array([0, 1])
     elif name == "qpsk":
-        pts, labs = [], []
+        pts = []
         for lab in range(4):
             bi, bq = (lab >> 1) & 1, lab & 1
             pts.append(((1 - 2 * bi) + 1j * (1 - 2 * bq)) / np.sqrt(2.0))
-            labs.append(lab)
-        points, labels = np.array(pts), np.array(labs)
-    elif name in ("qam16", "16qam"):
-        pts, labs = [], []
+        points = np.array(pts)
+    else:
+        pts = []
         for lab in range(16):
             bi, bq = (lab >> 2) & 3, lab & 3
             pts.append((_GRAY2[bi] + 1j * _GRAY2[bq]) / np.sqrt(10.0))
-            labs.append(lab)
-        points, labels = np.array(pts), np.array(labs)
-    else:
-        raise ValueError(f"unknown constellation {name!r}")
-    return Constellation(name, points, labels)
+        points = np.array(pts)
+    return Constellation(name, points)
 
 
 def bits_to_symbol_indices(bits, constellation):
@@ -129,23 +131,16 @@ def bits_to_symbol_indices(bits, constellation):
     if bits.size % bps:
         raise ValueError(f"bit count {bits.size} not divisible by {bps}")
     weights = 1 << np.arange(bps - 1, -1, -1)
-    labels = bits.reshape(-1, bps).astype(np.int64) @ weights
-    return constellation.index_of_label()[labels]
+    return bits.reshape(-1, bps).astype(np.int64) @ weights
 
 
-def count_bit_errors(idx_tx, idx_rx, constellation):
+def count_bit_errors(idx_tx, idx_rx):
     """Total differing bits between transmitted and detected point indices."""
-    labs = constellation.labels
-    return int(np.bitwise_count(np.bitwise_xor(labs[idx_tx], labs[idx_rx])).sum())
+    return int(np.bitwise_count(np.bitwise_xor(idx_tx, idx_rx)).sum())
 
 
 # ---------------------------------------------------------------------------
 # space-time codes
-
-
-def alamouti_encode(s1, s2):
-    """2x2 orthogonal code block, rows = time slots, columns = branches."""
-    return np.array([[s1, s2], [-np.conj(s2), np.conj(s1)]])
 
 
 def alamouti_combine(y, g):
@@ -159,14 +154,6 @@ def alamouti_combine(y, g):
     z1 = np.conj(g1) * y1 + g2 * np.conj(y2)
     z2 = np.conj(g2) * y1 - g1 * np.conj(y2)
     return np.stack([z1, z2], axis=-1)
-
-
-def qostbc_encode(s):
-    """The 4x4 quasi-orthogonal block for symbols s = (s1, s2, s3, s4)."""
-    s = np.asarray(s, dtype=np.complex128)
-    if s.shape != (4,):
-        raise ValueError("qostbc_encode needs exactly 4 symbols")
-    return _qostbc_encode_batch(s[None, :])[0]
 
 
 def _qostbc_encode_batch(s):
@@ -326,16 +313,6 @@ class _CandidateSearch:
         return self.keep[self.tree.query(y, eps=0)[1]]
 
 
-def _nearest_candidate(y, cand):
-    """Index of the nearest candidate row for each observation row.
-
-    y : (B, L) complex observations; cand : (K, L) complex candidates.
-    Returns the (B,) indices k minimising sum_j |y[b, j] - cand[k, j]|^2,
-    by a one-shot _CandidateSearch.
-    """
-    return _CandidateSearch(cand).query(y)
-
-
 def _check_search_rows(n_rows):
     """Refuse a BER row whose users' ML searches would hold more than
     _ML_ROW_GUARD candidate rows at once."""
@@ -347,7 +324,11 @@ def _check_search_rows(n_rows):
 
 def _qostbc_searches(g, constellation, power):
     """The pair tuples and the {s1, s4} and {s2, s3} searches for one
-    user's effective stream channel g = B^H h."""
+    user's effective stream channel g = B^H h.
+
+    The code's ML metric splits exactly into a term in the symbol pair
+    {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun.,
+    2001), so each pair is decided on its own over |C|^2 candidates."""
     pair_tuples = _all_tuples(2, constellation.size)
     pts = constellation.points[pair_tuples]
     zeros = np.zeros(len(pair_tuples), dtype=np.complex128)
@@ -371,30 +352,15 @@ def _decode_qostbc(y_blocks, searches):
     return out
 
 
-def detect_qostbc(y_blocks, g, constellation, power):
-    """Exact ML detection of quasi-orthogonal blocks by pair decoupling.
-
-    y_blocks : (B, 4) received slots per block for one user.
-    g : (4,) effective stream channel B^H h.
-
-    The code's ML metric splits exactly into a term in the symbol pair
-    {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun.,
-    2001), so each pair is decided on its own over |C|^2 candidates.
-
-    Returns (B, 4) detected symbol indices.
-    """
-    return _decode_qostbc(y_blocks, _qostbc_searches(g, constellation, power))
-
-
 # ---------------------------------------------------------------------------
 # frame pipeline
 
 
-def frame_bit_count(cfg, ops=None):
-    """Payload bits per frame for a scheme configuration."""
+def frame_bit_count(cfg, ops):
+    """Payload bits per frame for a scheme configuration and its factors."""
     bits = cfg.frame_length * cfg.constellation.bits_per_symbol
-    if LINK_SCHEMES[cfg.scheme].multiplexed:
-        bits *= (_SchemeOps(cfg) if ops is None else ops).rank
+    if ops.link.multiplexed:
+        bits *= ops.rank
     return bits
 
 
@@ -524,8 +490,6 @@ LINK_SCHEMES = {
                                   receiver=_qostbc_user_searches, rank=4),
 }
 
-SCHEMES = tuple(LINK_SCHEMES)
-
 
 def _simulate_one_frame(cfg, ops, ch, rx, rng):
     """(M,) bit error counts of one frame."""
@@ -536,8 +500,7 @@ def _simulate_one_frame(cfg, ops, ch, rx, rng):
     noise = randn_complex(rng, h.shape[0], cfg.frame_length)
     y = h.conj() @ x + noise  # (M, T)
     detected = ops.link.detect(cfg, ops, h, y, info, rx)
-    return np.array([count_bit_errors(info["symbols"], d, cfg.constellation) for d in detected],
-                    dtype=np.int64)
+    return np.array([count_bit_errors(info["symbols"], d) for d in detected], dtype=np.int64)
 
 
 def simulate_worst_user_ber(cfg, ch, n_frames, stream):
@@ -559,58 +522,10 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
     def run(frame_idx):
         return _simulate_one_frame(cfg, ops, ch, rx, stream.substream(frame_idx))
 
-    workers = min(n_workers(), n_frames)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_frame = list(pool.map(run, range(n_frames)))
-    else:
-        per_frame = [run(i) for i in range(n_frames)]
-    errors = np.sum(per_frame, axis=0)
+    errors = np.sum(map_in_order(run, n_frames), axis=0)
     total_bits = n_bits * n_frames
     ber = errors / total_bits
     worst = float(ber.max())
     stderr = math.sqrt(max(worst * (1.0 - worst), 0.0) / total_bits)
     return SimResult(ber, worst, total_bits, stream, stderr)
 
-
-# ---------------------------------------------------------------------------
-# Monte Carlo rate estimation
-
-
-def _mean_branch_gain(weights, h):
-    """(count, M) gains |h^H w|^2 averaged over the branches."""
-    return sum(np.abs(w @ h.conj().T) ** 2 for w in weights) / len(weights)
-
-
-def estimate_user_rates_mc(cfg, ch, n_samples, stream):
-    """Per-user empirical ergodic rates E[log(1 + P |h^H w|^2)] (or the
-    Alamouti-gain analog) with standard errors; the minimum over users
-    estimates the multicast rate.
-
-    Deterministic schemes (bf, bf_alamouti) return the exact rate with
-    zero standard error.
-    """
-    if LINK_SCHEMES[cfg.scheme].weights is None:
-        raise ValueError(f"no rate estimator for scheme {cfg.scheme!r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    ops = _SchemeOps(cfg)
-    h = ch.channels
-    p = cfg.power
-    if ops.fixed is not None:
-        rate = np.log1p(p * _mean_branch_gain(_draw_weights(ops, None, 1), h)[0])
-        return rate, np.zeros_like(rate)
-    rng = stream.generator()
-    m = h.shape[0]
-    acc = np.zeros(m)
-    acc2 = np.zeros(m)
-    done = 0
-    while done < n_samples:
-        n = min(_MC_CHUNK, n_samples - done)
-        vals = np.log1p(p * _mean_branch_gain(_draw_weights(ops, rng, n), h))
-        acc += vals.sum(axis=0)
-        acc2 += (vals**2).sum(axis=0)
-        done += n
-    mean = acc / n_samples
-    var = np.maximum(acc2 / n_samples - mean**2, 0.0)
-    return mean, np.sqrt(var / n_samples)

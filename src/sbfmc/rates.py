@@ -17,17 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gainlaws, quadrature, specfun
-from .hypoexp import ExponentialMixture, partial_fraction_coeffs
-from .quadrature import QuadratureError  # re-exported for callers
+from .hypoexp import ExponentialMixture
 
 __all__ = [
     "SchemeParams",
     "BinghamUserParams",
-    "ExponentialMixture",
-    "QuadratureError",
     "RateScheme",
     "RATE_SCHEMES",
-    "GAP_SCHEMES",
     "rate_mc",
     "rate_sbf_gauss",
     "rate_sbf_ellip",
@@ -37,7 +33,6 @@ __all__ = [
     "phi_exp_mixture",
     "rate_bingham_user",
     "quadrature_rate_oracle",
-    "partial_fraction_coeffs",
     "gain_law_for_scheme",
 ]
 
@@ -161,7 +156,8 @@ class RateScheme:
         bingham_phi, which is no transmission scheme but the verify check
         of phi_exp_mixture on the equal-weight rank-r mixture (the
         log-moment term of the Bingham-weight rate).
-    gain_law: rank -> normalized-gain law (see sbfmc.gainlaws).
+    gain_law: rank -> normalized-gain law (see sbfmc.gainlaws); None for
+        mc and bingham_phi, whose laws verify does not sample.
     gap_limit: rank -> high-power limit of C_mc - rate, in nats; None for
         mc, the bound itself.
     uses_rank: whether the law depends on the rank of the covariance.
@@ -182,8 +178,7 @@ class RateScheme:
 RATE_SCHEMES = {
     "mc": RateScheme(
         rate=lambda p: rate_mc(p),
-        gain_law=lambda r: gainlaws.PointMassGain(1.0),
-        gap_limit=None, uses_rank=False),
+        gain_law=None, gap_limit=None, uses_rank=False),
     "gauss_sbf": RateScheme(
         rate=lambda p: rate_sbf_gauss(p),
         gain_law=lambda r: gainlaws.ExponentialGain(),
@@ -203,8 +198,6 @@ RATE_SCHEMES = {
         uses_rank=True, min_rank=2),
     "bingham_phi": RateScheme(rate=None, gain_law=None, gap_limit=None, uses_rank=True),
 }
-
-GAP_SCHEMES = tuple(name for name, s in RATE_SCHEMES.items() if s.gap_limit is not None)
 
 
 def _entry(scheme, fact):
@@ -314,5 +307,5 @@ def quadrature_rate_oracle(law, rho, power, tol=1e-10):
         # discarded tail: mass < 1e-14 times a slowly growing log factor
         err += 1e-14 * math.log1p(scale * (upper + 1.0) * 10.0)
     if err > max(tol, 1e-9):
-        raise QuadratureError(value, err)
+        raise quadrature.QuadratureError(value, err)
     return value

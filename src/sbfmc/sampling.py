@@ -1,5 +1,5 @@
-"""Seed-reproducible generators for channels, beamforming weights and the
-effective-gain laws.
+"""Seed-reproducible random streams, complex Gaussian draws, channel sets,
+PSD square roots and beamforming-weight samplers.
 
 Randomness is keyed, not sequential: every (seed, stream_id) pair owns a
 Philox counter-based stream, and independent work units (frames, grid rows,
@@ -71,14 +71,6 @@ class ChannelSet:
         return self.channels.shape[1]
 
 
-def sample_channel_set(n, m, stream):
-    """M i.i.d. CN(0, I_N) channel vectors."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
-    rng = stream.generator()
-    return ChannelSet(randn_complex(rng, m, n))
-
-
 def psd_sqrt(w, rank_tol=RANK_TOL):
     """Square-root factor B (N x r) with B B^H = W and r the numerical rank.
 
@@ -119,14 +111,12 @@ class WeightSampler:
         b, r = psd_sqrt(w)
         return cls(scheme, b, r)
 
-    def sample(self, rng, size=None):
-        """One weight vector (size None) or a (size, N) block of them."""
-        n_draw = 1 if size is None else int(size)
-        g = randn_complex(rng, n_draw, self.rank)
+    def sample(self, rng, size):
+        """A (size, N) block of weight vectors."""
+        g = randn_complex(rng, size, self.rank)
         if self.scheme == "ellip_sbf":
             g = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(self.rank)
-        w = g @ self.root.T
-        return w[0] if size is None else w
+        return g @ self.root.T
 
     def sample_pair(self, rng, size):
         """(size, N) weight pair (w1, w2) for the Alamouti-coded schemes.
@@ -143,9 +133,3 @@ class WeightSampler:
             g = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(2 * self.rank)
         return g[:, : self.rank] @ self.root.T, g[:, self.rank :] @ self.root.T
 
-
-def sample_effective_gain(law, stream_or_rng, size=None):
-    """Direct draws from a normalized gain law (see sbfmc.gainlaws)."""
-    rng = stream_or_rng.generator() if isinstance(stream_or_rng, SeededStream) else stream_or_rng
-    out = law.sample(rng, 1 if size is None else int(size))
-    return float(out[0]) if size is None else out

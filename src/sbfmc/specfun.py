@@ -1,5 +1,5 @@
-"""Special functions used by the rate formulas: the exponential integral E1,
-its overflow-free scaled form exp(x) E1(x), and exact harmonic numbers.
+"""Special functions used by the rate formulas: the overflow-free scaled
+exponential integral exp(x) E1(x), and exact harmonic numbers.
 
 Harmonic numbers are exact rationals (``fractions.Fraction``); everything
 else is float64.
@@ -48,13 +48,6 @@ def _e1_cf_scaled(x):
     return h
 
 
-def _e1(x):
-    """E1(x) for a float x > 0."""
-    if x <= 1.0:
-        return _e1_series(x)
-    return _e1_cf_scaled(x) * np.exp(-x)
-
-
 def _e1_scaled(x):
     """exp(x)*E1(x) for a float x > 0."""
     if x <= 1.0:
@@ -62,39 +55,20 @@ def _e1_scaled(x):
     return _e1_cf_scaled(x)
 
 
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_1^inf t^-1 exp(-x t) dt, x > 0.
-
-    Evaluated by the power series below x = 1 and by a continued fraction
-    above; relative error is at the 1e-14 level throughout.  Accepts a
-    scalar or an array.
-    """
-    if np.ndim(x) == 0:
-        x = float(x)
-        if not x > 0.0:
-            raise ValueError(f"E1 requires x > 0, got {x}")
-        return _e1(x)
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(x > 0.0):
-        raise ValueError("E1 requires x > 0")
-    return np.array([_e1(float(v)) for v in x.flat]).reshape(x.shape)
-
-
 def exp_e1_scaled(x):
-    """exp(x) * E1(x) for x > 0, overflow-free for arbitrarily large x.
+    """exp(x) * E1(x) for a scalar x > 0, overflow-free for arbitrarily
+    large x.
 
-    The continued-fraction branch produces the scaled value directly, so
-    exp(x) is never formed; this is the quantity the rate formulas need.
+    E1(x) = int_1^inf t^-1 exp(-x t) dt is evaluated by the power series
+    below x = 1 and by a continued fraction above, with relative error at the
+    1e-14 level throughout.  The continued-fraction branch produces the
+    scaled value directly, so exp(x) is never formed; this is the quantity
+    the rate formulas need.
     """
-    if np.ndim(x) == 0:
-        x = float(x)
-        if not x > 0.0:
-            raise ValueError(f"scaled E1 requires x > 0, got {x}")
-        return _e1_scaled(x)
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(x > 0.0):
-        raise ValueError("scaled E1 requires x > 0")
-    return np.array([_e1_scaled(float(v)) for v in x.flat]).reshape(x.shape)
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"scaled E1 requires x > 0, got {x}")
+    return _e1_scaled(x)
 
 
 def harmonic(n):

@@ -1,29 +1,149 @@
-"""Helpers that only the tests use, kept out of the library: a
-Gray-labelling check, one-frame encoding, exponential-vector draws, and the
-special functions and exact binomial identities behind the paper's rate
-algebra (incomplete gamma at order 0 and -1, three alternating binomial
-sums, the log-moment integral theta)."""
+"""Helpers that only the tests use, kept out of the library.
+
+- Link-level references: a Gray-labelling check, one-frame encoding, the
+  single-block Alamouti and QOSTBC encoders, QOSTBC pair detection and the
+  one-shot nearest-candidate search as standalone calls, and the Monte Carlo
+  per-user rate estimator.
+- Draws: i.i.d. CN(0, I_N) channel sets and exponential vectors.
+- The special functions and exact binomial identities behind the paper's
+  rate algebra: the exponential integral E1, incomplete gamma at order 0
+  and -1, three alternating binomial sums and the log-moment integral theta.
+"""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from sbfmc import linksim
-from sbfmc.sampling import SeededStream
-from sbfmc.specfun import EULER_GAMMA, exp_integral_e1, harmonic
+from sbfmc import linksim, specfun
+from sbfmc.sampling import ChannelSet, SeededStream, randn_complex
+from sbfmc.specfun import EULER_GAMMA, harmonic
+
+# weight draws per step of estimate_user_rates_mc, which bounds its memory
+_MC_CHUNK = 1 << 16
 
 
 def gray_adjacency_ok(constellation):
-    """True when grid-adjacent points differ in exactly one label bit."""
-    pts, labs = constellation.points, constellation.labels
+    """True when grid-adjacent points differ in exactly one label bit (point
+    i carries label i)."""
+    pts = constellation.points
     step = np.min(np.abs(pts[:, None] - pts[None, :])[np.triu_indices(len(pts), 1)])
     ok = True
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(abs(pts[i] - pts[j]) - step) < 1e-9:
-                ok &= int(labs[i] ^ labs[j]).bit_count() == 1
+                ok &= (i ^ j).bit_count() == 1
     return ok
+
+
+def alamouti_encode(s1, s2):
+    """2x2 orthogonal code block, rows = time slots, columns = branches."""
+    return np.array([[s1, s2], [-np.conj(s2), np.conj(s1)]])
+
+
+def qostbc_encode(s):
+    """The 4x4 quasi-orthogonal block for symbols s = (s1, s2, s3, s4)."""
+    s = np.asarray(s, dtype=np.complex128)
+    if s.shape != (4,):
+        raise ValueError("qostbc_encode needs exactly 4 symbols")
+    return linksim._qostbc_encode_batch(s[None, :])[0]
+
+
+def detect_qostbc(y_blocks, g, constellation, power):
+    """Exact ML detection of quasi-orthogonal blocks by pair decoupling.
+
+    y_blocks : (B, 4) received slots per block for one user.
+    g : (4,) effective stream channel B^H h.
+
+    The code's ML metric splits exactly into a term in the symbol pair
+    {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun.,
+    2001), so each pair is decided on its own over |C|^2 candidates.
+
+    Returns (B, 4) detected symbol indices.
+    """
+    return linksim._decode_qostbc(y_blocks, linksim._qostbc_searches(g, constellation, power))
+
+
+def _nearest_candidate(y, cand):
+    """Index of the nearest candidate row for each observation row.
+
+    y : (B, L) complex observations; cand : (K, L) complex candidates.
+    Returns the (B,) indices k minimising sum_j |y[b, j] - cand[k, j]|^2,
+    by a one-shot _CandidateSearch.
+    """
+    return linksim._CandidateSearch(cand).query(y)
+
+
+def _mean_branch_gain(weights, h):
+    """(count, M) gains |h^H w|^2 averaged over the branches."""
+    return sum(np.abs(w @ h.conj().T) ** 2 for w in weights) / len(weights)
+
+
+def estimate_user_rates_mc(cfg, ch, n_samples, stream):
+    """Per-user empirical ergodic rates E[log(1 + P |h^H w|^2)] (or the
+    Alamouti-gain analog) with standard errors; the minimum over users
+    estimates the multicast rate.
+
+    Deterministic schemes (bf, bf_alamouti) return the exact rate with
+    zero standard error.
+    """
+    if linksim.LINK_SCHEMES[cfg.scheme].weights is None:
+        raise ValueError(f"no rate estimator for scheme {cfg.scheme!r}")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    ops = linksim._SchemeOps(cfg)
+    h = ch.channels
+    p = cfg.power
+    if ops.fixed is not None:
+        rate = np.log1p(p * _mean_branch_gain(linksim._draw_weights(ops, None, 1), h)[0])
+        return rate, np.zeros_like(rate)
+    rng = stream.generator()
+    m = h.shape[0]
+    acc = np.zeros(m)
+    acc2 = np.zeros(m)
+    done = 0
+    while done < n_samples:
+        n = min(_MC_CHUNK, n_samples - done)
+        vals = np.log1p(p * _mean_branch_gain(linksim._draw_weights(ops, rng, n), h))
+        acc += vals.sum(axis=0)
+        acc2 += (vals**2).sum(axis=0)
+        done += n
+    mean = acc / n_samples
+    var = np.maximum(acc2 / n_samples - mean**2, 0.0)
+    return mean, np.sqrt(var / n_samples)
+
+
+def sample_channel_set(n, m, stream):
+    """M i.i.d. CN(0, I_N) channel vectors."""
+    if n < 1 or m < 1:
+        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
+    rng = stream.generator()
+    return ChannelSet(randn_complex(rng, m, n))
+
+
+def _e1(x):
+    """E1(x) for a float x > 0."""
+    if x <= 1.0:
+        return specfun._e1_series(x)
+    return specfun._e1_cf_scaled(x) * np.exp(-x)
+
+
+def exp_integral_e1(x):
+    """Exponential integral E1(x) = int_1^inf t^-1 exp(-x t) dt, x > 0.
+
+    Evaluated by the power series below x = 1 and by a continued fraction
+    above; relative error is at the 1e-14 level throughout.  Accepts a
+    scalar or an array.
+    """
+    if np.ndim(x) == 0:
+        x = float(x)
+        if not x > 0.0:
+            raise ValueError(f"E1 requires x > 0, got {x}")
+        return _e1(x)
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x > 0.0):
+        raise ValueError("E1 requires x > 0")
+    return np.array([_e1(float(v)) for v in x.flat]).reshape(x.shape)
 
 
 def transmit_frame(cfg, bits, stream):

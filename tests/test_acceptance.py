@@ -20,13 +20,13 @@ from scipy.stats import kstest, ks_2samp, kstwobign
 from sbfmc import capacity, cli, gainlaws, linksim, rates, sampling, specfun
 from sbfmc.capacity import CovarianceMatrix
 from sbfmc.hypoexp import ExponentialMixture
-from sbfmc.linksim import SchemeConfig, detect_qostbc, make_constellation
+from sbfmc.linksim import SchemeConfig, make_constellation
 from sbfmc.quadrature import adaptive_gauss_legendre
 from sbfmc.rates import SchemeParams
-from sbfmc.sampling import SeededStream, WeightSampler, sample_channel_set
+from sbfmc.sampling import SeededStream, WeightSampler
 
-from helpers import (alt_binom_over_k, binom_id_shift2, binom_id_shift2_sq,
-                     sample_exponential_vector)
+from helpers import (alt_binom_over_k, binom_id_shift2, binom_id_shift2_sq, detect_qostbc,
+                     sample_channel_set, sample_exponential_vector)
 
 QPSK = make_constellation("qpsk")
 BPSK = make_constellation("bpsk")

@@ -8,7 +8,9 @@ from sbfmc.capacity import (
     solve_mc_covariance,
     solve_mc_covariances,
 )
-from sbfmc.sampling import ChannelSet, SeededStream, sample_channel_set
+from sbfmc.sampling import ChannelSet, SeededStream
+
+from helpers import sample_channel_set
 
 # objective of the frozen (N=4, M=8) instance below, from a one-off
 # interior-point solve (CVXOPT), kept as the cross-solver reference
@@ -36,7 +38,7 @@ class TestCovarianceMatrix:
 class TestRhoValues:
     def test_identity_covariance(self):
         ch = sample_channel_set(4, 6, SeededStream(4, 0))
-        rho, rho_min = rho_values(np.eye(4, dtype=complex) / 4, ch)
+        rho, rho_min = rho_values(CovarianceMatrix(np.eye(4, dtype=complex) / 4), ch)
         expected = np.linalg.norm(ch.channels, axis=1) ** 2 / 4
         assert np.allclose(rho, expected, atol=1e-12)
         assert rho_min == rho.min()
@@ -45,7 +47,7 @@ class TestRhoValues:
         ch = sample_channel_set(3, 4, SeededStream(4, 1))
         w = np.zeros((3, 3), dtype=complex)
         w[0, 0] = 1.0
-        rho, _ = rho_values(w, ch)
+        rho, _ = rho_values(CovarianceMatrix(w), ch)
         assert np.allclose(rho, np.abs(ch.channels[:, 0]) ** 2, atol=1e-12)
 
     def test_nonnegative(self):
@@ -54,13 +56,13 @@ class TestRhoValues:
         w = b @ b.conj().T
         w /= np.trace(w).real
         ch = sample_channel_set(4, 20, SeededStream(4, 3))
-        rho, _ = rho_values(w, ch)
+        rho, _ = rho_values(CovarianceMatrix(w), ch)
         assert np.all(rho >= 0)
 
     def test_dimension_mismatch(self):
         ch = sample_channel_set(4, 2, SeededStream(4, 4))
         with pytest.raises(ValueError):
-            rho_values(np.eye(3, dtype=complex) / 3, ch)
+            rho_values(CovarianceMatrix(np.eye(3, dtype=complex) / 3), ch)
 
 
 class TestSolver:

@@ -182,6 +182,20 @@ class TestBer:
         bf = [float(r["worst_user_ber"]) for r in rows if r["scheme"] == "bf"]
         assert bf[0] >= bf[-1]
 
+    def test_constellation_spellings_byte_identical(self, tmp_path):
+        # the default frame length (720 symbols of 16-QAM) and the
+        # constellation column follow the canonical name of any spelling
+        cfg = "n = 4\nm = 4\npower_db = 10\nschemes = gauss_sbf\nn_frames = 1\n"
+        outs = []
+        for spelling in ("qam16", "QAM16", "16qam"):
+            code, text = run_cli(tmp_path, "ber", cfg + f"constellation = {spelling}\n",
+                                 name=f"{spelling}.cfg")
+            assert code == 0, spelling
+            outs.append(text)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        row = rows_of(outs[0])[1][0]
+        assert (row["constellation"], row["bits"]) == ("qam16", "2880")
+
     def test_rerun_and_workers_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SBF_THREADS", "1")
         _, a = run_cli(tmp_path, "ber", self.CFG)

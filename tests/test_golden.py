@@ -16,7 +16,9 @@ from sbfmc import linksim
 from sbfmc.capacity import CovarianceMatrix
 from sbfmc.cli import main
 from sbfmc.linksim import SchemeConfig, make_constellation, simulate_worst_user_ber
-from sbfmc.sampling import SeededStream, sample_channel_set
+from sbfmc.sampling import SeededStream
+
+from helpers import sample_channel_set
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -48,7 +50,7 @@ RANK4_COV = CovarianceMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
 
 # (scheme, constellation): every link scheme on QPSK, and QOSTBC on 16-QAM
 # as well
-SIM_CASES = [(scheme, "qpsk") for scheme in linksim.SCHEMES] + [("precoded_qostbc", "qam16")]
+SIM_CASES = [(scheme, "qpsk") for scheme in linksim.LINK_SCHEMES] + [("precoded_qostbc", "qam16")]
 
 SIM_DIGEST = "fdbe7237a31e2f9cc975157d71f76cbc49169710d5804dc9761cafdb1f3f1e99"
 

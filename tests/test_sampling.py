@@ -5,17 +5,16 @@ import pytest
 from scipy.stats import kstest, ks_2samp, kstwobign
 
 from sbfmc import gainlaws, rates, sampling, specfun
+from sbfmc.hypoexp import ExponentialMixture
 from sbfmc.rates import SchemeParams
 from sbfmc.sampling import (
     ChannelSet,
     SeededStream,
     WeightSampler,
     psd_sqrt,
-    sample_channel_set,
-    sample_effective_gain,
 )
 
-from helpers import sample_exponential_vector
+from helpers import sample_channel_set, sample_exponential_vector
 
 N_KS = 10**5
 
@@ -195,10 +194,10 @@ class TestWeightSamplers:
     def test_named_draw_helpers(self):
         gauss = WeightSampler.from_covariance("gauss_sbf", self.w)
         ellip = WeightSampler.from_covariance("ellip_sbf", self.w)
-        one = gauss.sample(SeededStream(5, 30).generator())
+        one = gauss.sample(SeededStream(5, 30).generator(), 1)[0]
         block = gauss.sample(SeededStream(5, 30).generator(), 4)
         assert one.shape == (4,) and block.shape == (4, 4)
-        assert np.array_equal(one, gauss.sample(SeededStream(5, 30).generator()))
+        assert np.array_equal(one, gauss.sample(SeededStream(5, 30).generator(), 1)[0])
         w_e = ellip.sample(SeededStream(5, 31).generator(), 100)
         # ellipsoid draws have fixed squared norm r inside the root's frame
         g = np.linalg.lstsq(ellip.root, w_e.T, rcond=None)[0]
@@ -211,7 +210,7 @@ LAWS = {
     "chi_square_4": gainlaws.ChiSquare4Gain(),
     "elliptic_alamouti_r2": gainlaws.EllipticAlamoutiGain(2),
     "mixture": gainlaws.MixtureGain(
-        rates.ExponentialMixture.from_weights([0.5, 0.3, 0.2])
+        ExponentialMixture.from_weights([0.5, 0.3, 0.2])
     ),
 }
 
@@ -220,20 +219,20 @@ class TestGainLaws:
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_ks_against_analytic_cdf(self, name):
         law = LAWS[name]
-        draws = sample_effective_gain(law, SeededStream(6, hash(name) % 2**32), N_KS)
+        draws = law.sample(SeededStream(6, hash(name) % 2**32).generator(), N_KS)
         stat = kstest(draws, lambda x: law.cdf(x)).statistic
         assert stat <= ks_critical(N_KS), name
 
     def test_chi4_moments(self):
         n = 10**6
-        draws = sample_effective_gain(gainlaws.ChiSquare4Gain(), SeededStream(6, 1), n)
+        draws = gainlaws.ChiSquare4Gain().sample(SeededStream(6, 1).generator(), n)
         assert abs(draws.mean() - 1.0) <= 4 * math.sqrt(0.5 / n)
 
     def test_ellip_alam_histogram(self):
         # density 3 (t/2)(1 - t/2) on [0, 2], 50 bins, 5-sigma band
         law = gainlaws.EllipticAlamoutiGain(2)
         n = 10**6
-        draws = sample_effective_gain(law, SeededStream(6, 2), n)
+        draws = law.sample(SeededStream(6, 2).generator(), n)
         edges = np.linspace(0, 2, 51)
         counts, _ = np.histogram(draws, bins=edges)
         probs = np.diff(law.cdf(edges))
@@ -241,7 +240,7 @@ class TestGainLaws:
         assert np.all(np.abs(counts - n * probs) <= 5 * se)
 
     def test_exponential_ties_to_rate(self):
-        draws = sample_effective_gain(gainlaws.ExponentialGain(), SeededStream(6, 3), 10**6)
+        draws = gainlaws.ExponentialGain().sample(SeededStream(6, 3).generator(), 10**6)
         vals = np.log1p(10.0 * draws)
         se = vals.std(ddof=1) / 1000.0
         assert abs(vals.mean() - specfun.exp_e1_scaled(0.1)) <= 3 * se
@@ -249,7 +248,7 @@ class TestGainLaws:
     def test_point_mass_for_rank_one(self):
         law = gainlaws.elliptic_gain(1)
         assert isinstance(law, gainlaws.PointMassGain)
-        assert np.all(sample_effective_gain(law, SeededStream(6, 4), 10) == 1.0)
+        assert np.all(law.sample(SeededStream(6, 4).generator(), 10) == 1.0)
 
 
 class TestWeightLawEquivalence:
