@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import capacity, linksim, rates, sampling
-from .gainlaws import MixtureGain, truncation_point
+from .gainlaws import MixtureGain, PointMassGain, truncation_point
 from .hypoexp import ExponentialMixture
 from .linksim import SchemeConfig, make_constellation, map_in_order, n_workers
 from .quadrature import adaptive_gauss_legendre
@@ -243,8 +243,12 @@ def _verify_row(cfg, scheme, rank, p_db, row_idx):
         quad = rates.quadrature_rate_oracle(law, rho, power, tol=1e-10)
         draws = law.sample(rng, cfg.n_samples)
         vals = np.log1p(rho * power * draws)
+        if isinstance(law, PointMassGain):
+            # every draw is the one value: the mean of equal values can round
+            # off it, and the spread of that rounding is no standard error
+            vals = vals[:1]
     mc = float(vals.mean())
-    mc_se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    mc_se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     quad_diff = abs(closed - quad)
     mc_dev = abs(closed - mc) / mc_se if mc_se > 0 else 0.0
     ok = quad_diff <= _QUAD_TOL and mc_dev <= _MC_SIGMAS

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import CovarianceMatrix
-from .sampling import SeededStream, WeightSampler, psd_sqrt, randn_complex
+from .sampling import SeededStream, WeightSampler, fill_randn_complex, psd_sqrt
 
 _ML_SEARCH_GUARD = 10**6
 # candidate rows that one BER row's ML searches may hold at once, over all
@@ -134,26 +134,8 @@ def bits_to_symbol_indices(bits, constellation):
     return bits.reshape(-1, bps).astype(np.int64) @ weights
 
 
-def count_bit_errors(idx_tx, idx_rx):
-    """Total differing bits between transmitted and detected point indices."""
-    return int(np.bitwise_count(np.bitwise_xor(idx_tx, idx_rx)).sum())
-
-
 # ---------------------------------------------------------------------------
 # space-time codes
-
-
-def alamouti_combine(y, g):
-    """Combine the two received slots into per-symbol decision statistics.
-
-    With y1 = g1 s1 + g2 s2 + n1 and y2 = -g1 s2* + g2 s1* + n2 the outputs
-    are z_k = (|g1|^2 + |g2|^2) s_k + noise.
-    """
-    y1, y2 = y[..., 0], y[..., 1]
-    g1, g2 = g[..., 0], g[..., 1]
-    z1 = np.conj(g1) * y1 + g2 * np.conj(y2)
-    z2 = np.conj(g2) * y1 - g1 * np.conj(y2)
-    return np.stack([z1, z2], axis=-1)
 
 
 def _qostbc_encode_batch(s):
@@ -238,29 +220,56 @@ def _draw_weights(ops, rng, count):
     return ops.sampler.sample_pair(rng, count)
 
 
-def _nearest_point(values, scale, constellation):
-    """Index of the point p minimising |values - scale * p|^2, entry by entry.
+class _Buffers:
+    """One frame worker's arrays, by name.  An array is allocated on first
+    use and handed out again for as long as it is asked for with the same
+    shape and dtype, so the frames of a BER row reuse the same pages.  A
+    fresh (M, T) temporary per frame goes back to the OS when it is freed,
+    and the next frame's faults its pages in again."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name, shape, dtype=np.float64):
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
+
+
+def _nearest_point(values, scale, constellation, buf):
+    """Index of the point p minimising |values - scale * p|^2, entry by entry,
+    for values and a complex or real scale of any one shape.
 
     On a product grid this is the nearest level of values/scale on each axis,
     decided without dividing: with u = values * conj(scale) and
     e = |scale|^2, the real level index counts the midpoints m with
     Re(u) > e * m, and likewise on the imaginary axis.  A value exactly on a
     midpoint takes the lower level (ties have probability zero).  Where
-    scale == 0 every point is equally far, and point 0 is returned.
+    scale == 0 every point is equally far, and point 0 is returned.  Every
+    step writes into arrays of the _Buffers buf, and the returned indices
+    are one of them.
     """
     re_mids, im_mids, table = constellation.slicer
-    u = values * np.conj(scale)
-    e = np.abs(scale) ** 2
-    i_re = np.zeros(len(u), dtype=np.intp)
-    for m in re_mids:
-        i_re += u.real > e * m
-    i_im = np.zeros(len(u), dtype=np.intp)
-    for m in im_mids:
-        i_im += u.imag > e * m
+    shape = values.shape
+    u = np.conjugate(scale, out=buf("slice_u", shape, np.complex128))
+    np.multiply(values, u, out=u)
+    e = np.abs(scale, out=buf("slice_e", shape))
+    np.square(e, out=e)
+    level = buf("slice_level", shape)
+    above = buf("slice_above", shape, np.bool_)
+    i_re = buf("slice_re", shape, np.intp)
+    i_im = buf("slice_im", shape, np.intp)
+    for axis, mids, count in ((u.real, re_mids, i_re), (u.imag, im_mids, i_im)):
+        count.fill(0)
+        for m in mids:
+            count += np.greater(axis, np.multiply(e, m, out=level), out=above)
     i_re *= table.shape[1]
     i_re += i_im
-    idx = table.ravel().take(i_re)
-    idx[e == 0] = 0
+    # every level pair indexes the table, so clipping never acts; unlike the
+    # default mode it writes straight into out
+    idx = np.take(table.ravel(), i_re, out=buf("slice_idx", shape, np.int64), mode="clip")
+    np.copyto(idx, 0, where=np.equal(e, 0, out=above))
     return idx
 
 
@@ -341,12 +350,12 @@ def _qostbc_searches(g, constellation, power):
     return pair_tuples, _CandidateSearch(cand14), _CandidateSearch(cand23)
 
 
-def _decode_qostbc(y_blocks, searches):
-    """(B, 4) detected symbol indices of (B, 4) blocks from _qostbc_searches."""
+def _decode_qostbc(y_blocks, searches, out):
+    """Write the (B, 4) detected symbol indices of (B, 4) blocks, decided
+    by the searches of _qostbc_searches, into out; return out."""
     pair_tuples, search14, search23 = searches
     best14 = pair_tuples[search14.query(y_blocks)]
     best23 = pair_tuples[search23.query(y_blocks)]
-    out = np.empty((y_blocks.shape[0], 4), dtype=np.int64)
     out[:, 0], out[:, 3] = best14[:, 0], best14[:, 1]
     out[:, 1], out[:, 2] = best23[:, 0], best23[:, 1]
     return out
@@ -381,19 +390,51 @@ def _encode_weighted(cfg, ops, bits, rng):
     return x, {"weights": w, "symbols": idx}
 
 
-def _detect_weighted(cfg, ops, h, y, info, rx):
-    """Scalar nearest point of each user's decision statistic z after
-    identity (one branch) or Alamouti (two branches) combining."""
-    gains = [w @ h.conj().T for w in info["weights"]]  # per branch (blocks, M)
-    amp = math.sqrt(cfg.power / len(gains))
-    for i in range(h.shape[0]):
-        if len(gains) == 1:
-            z, scale = y[i], amp * gains[0][:, i]
-        else:
-            g = np.stack([gb[:, i] for gb in gains], axis=-1)  # (blocks, 2)
-            z = alamouti_combine(y[i].reshape(-1, 2), g).ravel()
-            scale = np.repeat(amp * (np.abs(g[:, 0]) ** 2 + np.abs(g[:, 1]) ** 2), 2)
-        yield _nearest_point(z, scale, cfg.constellation)
+def _detect_weighted(cfg, ops, h, y, info, rx, buf):
+    """Scalar nearest point of every user's decision statistic after
+    identity (one branch) or Alamouti (two branches) combining, all M users
+    in one pass."""
+    weights = info["weights"]
+    amp = math.sqrt(cfg.power / len(weights))
+    hc_t = h.conj().T
+    # per-branch gains w @ h^H, (blocks, M), each read as its (M, blocks) view
+    gains = [np.matmul(w, hc_t, out=buf(f"gain{b}", (len(w), h.shape[0]), np.complex128)).T
+             for b, w in enumerate(weights)]
+    if len(gains) == 1:
+        z, scale = y, np.multiply(amp, gains[0], out=buf("scale", y.shape, np.complex128))
+    else:
+        z, scale = _alamouti_statistics(y, gains, amp, buf)
+    return _nearest_point(z, scale, cfg.constellation, buf)
+
+
+def _alamouti_statistics(y, gains, amp, buf):
+    """Every user's combined statistics z and their real scales, (M, T) each,
+    from the (M, T) received slots y and the two (M, T / 2) branch gains.
+
+    With y1 = g1 s1 + g2 s2 + n1 and y2 = -g1 s2* + g2 s1* + n2 in a
+    block's two slots, z1 = g1* y1 + g2 y2* and z2 = g2* y1 - g1 y2* are
+    (|g1|^2 + |g2|^2) s_k + noise; both slots get the scale
+    amp (|g1|^2 + |g2|^2).  Each product keeps the operand order of these
+    formulas: the pinned BER digests hold these bits.
+    """
+    half = (y.shape[0], y.shape[1] // 2)
+    y1, y2 = y[:, 0::2], y[:, 1::2]
+    g1, g2 = gains
+    y2c = np.conjugate(y2, out=buf("alam_y2c", half, np.complex128))
+    a = buf("alam_a", half, np.complex128)
+    b = buf("alam_b", half, np.complex128)
+    z = buf("alam_z", y.shape, np.complex128)
+    np.multiply(np.conjugate(g1, out=a), y1, out=a)
+    np.add(a, np.multiply(g2, y2c, out=b), out=z[:, 0::2])
+    np.multiply(np.conjugate(g2, out=a), y1, out=a)
+    np.subtract(a, np.multiply(g1, y2c, out=b), out=z[:, 1::2])
+    scale = buf("alam_scale", y.shape)
+    s1, s2 = scale[:, 0::2], scale[:, 1::2]
+    np.square(np.abs(g1, out=s1), out=s1)
+    np.square(np.abs(g2, out=s2), out=s2)
+    np.multiply(amp, np.add(s1, s2, out=s1), out=s1)
+    s2[...] = s1
+    return z, scale
 
 
 def _encode_multiplexed(cfg, ops, bits, rng):
@@ -416,11 +457,14 @@ def _tuple_searches(cfg, ops, h):
     return tuples, [_CandidateSearch(sp * (sym @ gi)[:, None]) for gi in g]
 
 
-def _detect_tuples(cfg, ops, h, y, info, rx):
-    """Exhaustive ML search over the symbol tuples of each slot."""
+def _detect_tuples(cfg, ops, h, y, info, rx, buf):
+    """Exhaustive ML search over the symbol tuples of each slot, user by
+    user, stacked into one (M, T, d) array."""
     tuples, searches = rx
-    for yi, search in zip(y, searches):
-        yield tuples[search.query(yi[:, None])]
+    out = buf("tuples_idx", (len(searches), y.shape[1], ops.rank), np.int64)
+    for yi, search, oi in zip(y, searches, out):
+        oi[...] = tuples[search.query(yi[:, None])]
+    return out
 
 
 def _encode_qostbc(cfg, ops, bits, rng):
@@ -439,10 +483,13 @@ def _qostbc_user_searches(cfg, ops, h):
     return [_qostbc_searches(gi, cfg.constellation, cfg.power) for gi in g.T]
 
 
-def _detect_qostbc_blocks(cfg, ops, h, y, info, rx):
-    """Pair-decoupled ML decisions on each user's 4-slot blocks."""
-    for yi, searches in zip(y, rx):
-        yield _decode_qostbc(yi.reshape(-1, 4), searches)
+def _detect_qostbc_blocks(cfg, ops, h, y, info, rx, buf):
+    """Pair-decoupled ML decisions on each user's 4-slot blocks, stacked
+    into one (M, T / 4, 4) array."""
+    out = buf("qostbc_idx", (len(rx), y.shape[1] // 4, 4), np.int64)
+    for yi, searches, oi in zip(y, rx, out):
+        _decode_qostbc(yi.reshape(-1, 4), searches, oi)
+    return out
 
 
 @dataclass(frozen=True)
@@ -457,8 +504,11 @@ class LinkScheme:
     encode: (cfg, ops, bits, rng) -> the (N, T) transmit signal and the
         receiver-side info.  It draws only weights from rng (the caller
         draws payload bits before and noise after), so results reproduce.
-    detect: (cfg, ops, h, y, info, rx) -> each user's detected symbol
-        indices from the (M, T) received signal y, one user at a time.  It
+    detect: (cfg, ops, h, y, info, rx, buf) -> one (M, ...) array of every
+        user's detected symbol indices from the (M, T) received signal y,
+        row i shaped like info["symbols"] (or broadcast against it).  Its
+        work arrays and its result come from buf, the frame worker's
+        _Buffers, so the result is valid until the worker's next frame.  It
         only queries rx and builds no search of its own.
     receiver: (cfg, ops, h) -> rx, the read-only per-user search state,
         built once per simulate_worst_user_ber call before the frame
@@ -491,16 +541,22 @@ LINK_SCHEMES = {
 }
 
 
-def _simulate_one_frame(cfg, ops, ch, rx, rng):
-    """(M,) bit error counts of one frame."""
+def _simulate_one_frame(cfg, ops, ch, rx, rng, buf):
+    """(M,) bit error counts of one frame, worked out in the (M, T) arrays
+    of the frame worker's buffers buf."""
     bits = rng.integers(0, 2, frame_bit_count(cfg, ops), dtype=np.uint8)
     x, info = ops.link.encode(cfg, ops, bits, rng)
     h = ch.channels
+    shape = (h.shape[0], cfg.frame_length)
     # noise first: the other order measured ~0.6 ms slower per M = 16, T = 1440 frame
-    noise = randn_complex(rng, h.shape[0], cfg.frame_length)
-    y = h.conj() @ x + noise  # (M, T)
-    detected = ops.link.detect(cfg, ops, h, y, info, rx)
-    return np.array([count_bit_errors(info["symbols"], d) for d in detected], dtype=np.int64)
+    noise = fill_randn_complex(rng, buf("noise", shape, np.complex128), buf("normals", (2, *shape)))
+    y = np.matmul(h.conj(), x, out=buf("y", shape, np.complex128))
+    y += noise
+    detected = ops.link.detect(cfg, ops, h, y, info, rx, buf)
+    # differing bits of every user's indices against the sent ones, in place
+    diff = np.bitwise_xor(detected, info["symbols"], out=detected)
+    ones = np.bitwise_count(diff, out=buf("ones", detected.shape, np.uint8))
+    return ones.reshape(len(ones), -1).sum(axis=1, dtype=np.int64)
 
 
 def simulate_worst_user_ber(cfg, ch, n_frames, stream):
@@ -508,7 +564,9 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
 
     Frames are independent work units keyed by (stream, frame index) and
     merged by integer error-count summation, so the result is identical
-    for any SBF_THREADS worker count.
+    for any SBF_THREADS worker count.  Frame f runs on worker f mod W, with
+    W = min(SBF_THREADS, n_frames); each worker allocates its frame arrays
+    once and reuses them for every frame it runs.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -519,10 +577,16 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
     receiver = ops.link.receiver
     rx = None if receiver is None else receiver(cfg, ops, ch.channels)
 
-    def run(frame_idx):
-        return _simulate_one_frame(cfg, ops, ch, rx, stream.substream(frame_idx))
+    workers = min(n_workers(), n_frames)
 
-    errors = np.sum(map_in_order(run, n_frames), axis=0)
+    def run(worker):
+        buf = _Buffers()
+        errors = np.zeros(ch.channels.shape[0], dtype=np.int64)
+        for frame_idx in range(worker, n_frames, workers):
+            errors += _simulate_one_frame(cfg, ops, ch, rx, stream.substream(frame_idx), buf)
+        return errors
+
+    errors = np.sum(map_in_order(run, workers), axis=0)
     total_bits = n_bits * n_frames
     ber = errors / total_bits
     worst = float(ber.max())

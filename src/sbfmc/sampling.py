@@ -45,8 +45,15 @@ def randn_complex(rng, *shape):
     the real parts followed by one for the imaginary parts, and filling one
     complex array in place is bit-identical to (re + 1j * im) / sqrt(2).
     """
-    normals = rng.standard_normal((2, *shape))
-    out = np.empty(shape, dtype=np.complex128)
+    return fill_randn_complex(rng, np.empty(shape, dtype=np.complex128), np.empty((2, *shape)))
+
+
+def fill_randn_complex(rng, out, normals):
+    """Fill the complex array out with the draw randn_complex(rng,
+    *out.shape) would return, through the float scratch normals of shape
+    (2, *out.shape); return out.  Callers that draw many equal-shaped
+    blocks reuse both arrays instead of faulting fresh pages in each time."""
+    rng.standard_normal(out=normals)
     out.real = normals[0]
     out.imag = normals[1]
     out /= np.sqrt(2.0)

@@ -1,7 +1,8 @@
 """Helpers that only the tests use, kept out of the library.
 
-- Link-level references: a Gray-labelling check, one-frame encoding, the
-  single-block Alamouti and QOSTBC encoders, QOSTBC pair detection and the
+- Link-level references: a Gray-labelling check, one-frame encoding, a
+  bit-error count of two index arrays, the single-block Alamouti and
+  QOSTBC encoders, one user's Alamouti combiner, QOSTBC pair detection and the
   one-shot nearest-candidate search as standalone calls, and the Monte Carlo
   per-user rate estimator.
 - Draws: i.i.d. CN(0, I_N) channel sets and exponential vectors.
@@ -36,6 +37,24 @@ def gray_adjacency_ok(constellation):
     return ok
 
 
+def count_bit_errors(idx_tx, idx_rx):
+    """Total differing bits between transmitted and detected point indices."""
+    return int(np.bitwise_count(np.bitwise_xor(idx_tx, idx_rx)).sum())
+
+
+def alamouti_combine(y, g):
+    """Combine the two received slots into per-symbol decision statistics.
+
+    With y1 = g1 s1 + g2 s2 + n1 and y2 = -g1 s2* + g2 s1* + n2 the outputs
+    are z_k = (|g1|^2 + |g2|^2) s_k + noise.
+    """
+    y1, y2 = y[..., 0], y[..., 1]
+    g1, g2 = g[..., 0], g[..., 1]
+    z1 = np.conj(g1) * y1 + g2 * np.conj(y2)
+    z2 = np.conj(g2) * y1 - g1 * np.conj(y2)
+    return np.stack([z1, z2], axis=-1)
+
+
 def alamouti_encode(s1, s2):
     """2x2 orthogonal code block, rows = time slots, columns = branches."""
     return np.array([[s1, s2], [-np.conj(s2), np.conj(s1)]])
@@ -61,7 +80,8 @@ def detect_qostbc(y_blocks, g, constellation, power):
 
     Returns (B, 4) detected symbol indices.
     """
-    return linksim._decode_qostbc(y_blocks, linksim._qostbc_searches(g, constellation, power))
+    return linksim._decode_qostbc(y_blocks, linksim._qostbc_searches(g, constellation, power),
+                                  np.empty((y_blocks.shape[0], 4), dtype=np.int64))
 
 
 def _nearest_candidate(y, cand):

@@ -113,6 +113,17 @@ class TestVerify:
         code, _ = run_cli(tmp_path, "verify", "n_samples = 10\n")
         assert code == 2
 
+    def test_rank_one_point_mass_row_passes(self, tmp_path):
+        # every rank-1 elliptic draw is 1: the row reports that one value
+        # with no spread, not the rounding of 1000 equal values' mean
+        code, text = run_cli(tmp_path, "verify", "n_samples = 1000\npower_db = 10\n"
+                                                 "rank = 1\nschemes = ellip_sbf\n")
+        assert code == 0
+        (row,) = rows_of(text)[1]
+        assert row["pass"] == "true"
+        assert float(row["mc_estimate"]) == math.log1p(10.0)
+        assert float(row["mc_stderr"]) == 0.0
+
 
 class TestRates:
     CFG = (

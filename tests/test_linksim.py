@@ -10,22 +10,23 @@ from sbfmc.capacity import CovarianceMatrix
 from sbfmc.linksim import (
     Constellation,
     SchemeConfig,
-    alamouti_combine,
     bits_to_symbol_indices,
-    count_bit_errors,
     frame_bit_count,
     make_constellation,
     simulate_worst_user_ber,
 )
 from sbfmc.sampling import ChannelSet, SeededStream
 
-from helpers import (_nearest_candidate, alamouti_encode, detect_qostbc, estimate_user_rates_mc,
-                     gray_adjacency_ok, qostbc_encode, sample_channel_set, transmit_frame)
+from helpers import (_nearest_candidate, alamouti_combine, alamouti_encode, count_bit_errors,
+                     detect_qostbc, estimate_user_rates_mc, gray_adjacency_ok, qostbc_encode,
+                     sample_channel_set, transmit_frame)
 
 SCHEMES = tuple(linksim.LINK_SCHEMES)
 QPSK = make_constellation("qpsk")
 BPSK = make_constellation("bpsk")
 QAM16 = make_constellation("qam16")
+# a QPSK whose levels differ in the last bits
+POLAR = Constellation("polar", np.exp(1j * np.pi / 4 * np.arange(1, 8, 2)))
 
 RANK4_COV = CovarianceMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
 
@@ -71,11 +72,7 @@ class TestSlicer:
     such ties have probability zero and the draws below hit none.
     """
 
-    @pytest.mark.parametrize("con", [
-        BPSK, QPSK, QAM16,
-        # a QPSK whose levels differ in the last bits
-        Constellation("polar", np.exp(1j * np.pi / 4 * np.arange(1, 8, 2))),
-    ])
+    @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16, POLAR])
     def test_matches_brute_force_metric(self, con):
         rng = SeededStream(9, 0).generator()
         n = 20000
@@ -84,14 +81,34 @@ class TestSlicer:
         sent = con.points[rng.integers(0, con.size, n)]
         z = scale * (sent + rng.uniform(0, 1.5, n) * sampling.randn_complex(rng, n))
         brute = np.argmin(np.abs(z[:, None] - scale[:, None] * con.points) ** 2, axis=1)
-        assert np.array_equal(linksim._nearest_point(z, scale, con), brute)
+        assert np.array_equal(linksim._nearest_point(z, scale, con, linksim._Buffers()), brute)
 
     @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16])
     def test_zero_scale_gives_point_zero(self, con):
         z = sampling.randn_complex(SeededStream(9, 1).generator(), 6)
         scale = np.array([0, 1, 0, 1j, 0, 2], dtype=complex)
-        det = linksim._nearest_point(z, scale, con)
+        det = linksim._nearest_point(z, scale, con, linksim._Buffers())
         assert np.all(det[scale == 0] == 0)
+
+    @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16, POLAR])
+    @pytest.mark.parametrize("real_scale", [False, True], ids=["complex", "real"])
+    def test_all_users_match_row_by_row(self, con, real_scale):
+        # the detectors slice all M users of a frame in one (M, T) call
+        rng = SeededStream(9, 4).generator()
+        m, t = 6, 500
+        scale = 10 ** rng.uniform(-3, 2, (m, t)) * np.exp(2j * np.pi * rng.uniform(size=(m, t)))
+        if real_scale:
+            scale = np.abs(scale)  # Alamouti combining gives real gains
+        scale[2] = 0  # a user whose every scale is 0
+        scale[4, ::7] = 0
+        sent = con.points[rng.integers(0, con.size, (m, t))]
+        z = scale * sent + 0.5 * sampling.randn_complex(rng, m, t)
+        det = linksim._nearest_point(z, scale, con, linksim._Buffers())
+        assert det.shape == (m, t)
+        assert np.all(det[2] == 0) and np.all(det[4, ::7] == 0)
+        for i in range(m):
+            row = linksim._nearest_point(z[i], scale[i], con, linksim._Buffers())
+            assert np.array_equal(det[i], row), i
 
     @pytest.mark.parametrize("points", [
         np.exp(2j * np.pi * np.arange(8) / 8),  # 8-PSK: not n_re * n_im points
@@ -428,6 +445,21 @@ class TestBerSimulation:
         assert np.array_equal(res1.per_user_ber, res8.per_user_ber)
         assert res1.worst_user_ber == res8.worst_user_ber
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_counts_independent_of_worker_split(self, monkeypatch, scheme):
+        # uneven splits: frame f runs on worker f mod W, so 5 frames on 3
+        # workers, 8 on 3 and 5 on 8 (one frame each) all reuse buffers differently
+        ch = sample_channel_set(4, 5, SeededStream(6, 13))
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 96)
+
+        def per_user_ber(threads, n_frames):
+            monkeypatch.setenv("SBF_THREADS", str(threads))
+            return simulate_worst_user_ber(cfg, ch, n_frames, SeededStream(6, 14)).per_user_ber
+
+        for threads, n_frames in ((3, 5), (3, 8), (8, 5)):
+            assert np.array_equal(per_user_ber(1, n_frames), per_user_ber(threads, n_frames)), (
+                threads, n_frames)
+
     @pytest.mark.parametrize("scheme, trees_per_user", [("precoded_sm", 1),
                                                         ("precoded_qostbc", 2)])
     @pytest.mark.parametrize("n_frames", [1, 4])
@@ -465,7 +497,7 @@ class TestBerSimulation:
         y = np.zeros((2, 8), dtype=complex)
         y[1, 3] = np.inf
         with pytest.raises(ValueError):
-            list(link.detect(cfg, ops, ch.channels, y, None, rx))
+            link.detect(cfg, ops, ch.channels, y, None, rx, linksim._Buffers())
 
     def test_result_invariants(self):
         ch = sample_channel_set(4, 4, SeededStream(6, 4))
