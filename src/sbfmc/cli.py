@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import capacity, linksim, rates, sampling
-from .gainlaws import MixtureGain, PointMassGain, truncation_point
-from .hypoexp import ExponentialMixture
+from .gainlaws import PointMassGain, truncation_point
 from .linksim import SchemeConfig, make_constellation, map_in_order, n_workers
 from .quadrature import adaptive_gauss_legendre
 from .sampling import SeededStream
@@ -225,28 +224,23 @@ def _verify_row(cfg, scheme, rank, p_db, row_idx):
     stream = SeededStream(cfg.seed, _VERIFY_ROW_BASE + row_idx)
     rng = stream.generator()
     entry = rates.RATE_SCHEMES[scheme]
+    law = rates.gain_law_for_scheme(scheme, rank)
     if entry.rate is None:
-        # quadrature target is the log moment int log(z) p(z) dz itself
-        lam = np.full(rank, 1.0 / rank)
-        mix = ExponentialMixture.from_weights(lam)
-        closed = rates.phi_exp_mixture(mix)
-        upper = truncation_point(MixtureGain(mix))
+        # the phi check: the target is log t itself, with no power in it
+        # (the quadrature nodes lie inside the panels, so t > 0 there)
+        closed = law.log_moment()
+        target = np.log
         quad, _ = adaptive_gauss_legendre(
-            lambda z: np.log(np.maximum(z, 1e-300)) * mix.pdf(z), 0.0, upper, tol=1e-10
-        )
-        draws = mix.sample(rng, cfg.n_samples)
-        vals = np.log(draws)
+            lambda t: target(t) * law.pdf(t), 0.0, truncation_point(law), tol=1e-10)
     else:
-        p = rates.SchemeParams(rho, power, rank)
-        closed = entry.rate(p)
-        law = rates.gain_law_for_scheme(scheme, rank)
+        closed = entry.rate(rates.SchemeParams(rho, power, rank))
+        target = lambda t: np.log1p(rho * power * t)
         quad = rates.quadrature_rate_oracle(law, rho, power, tol=1e-10)
-        draws = law.sample(rng, cfg.n_samples)
-        vals = np.log1p(rho * power * draws)
-        if isinstance(law, PointMassGain):
-            # every draw is the one value: the mean of equal values can round
-            # off it, and the spread of that rounding is no standard error
-            vals = vals[:1]
+    vals = target(law.sample(rng, cfg.n_samples))
+    if isinstance(law, PointMassGain):
+        # every draw is the one value: the mean of equal values can round
+        # off it, and the spread of that rounding is no standard error
+        vals = vals[:1]
     mc = float(vals.mean())
     mc_se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     quad_diff = abs(closed - quad)

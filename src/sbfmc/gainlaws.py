@@ -9,15 +9,17 @@ of the laws below (all unit mean except the point mass location):
   chi-square-4           two Gaussian weights + orthogonal code, t = (E1+E2)/2
   elliptic-Alamouti(r)   two ellipsoid weights + orthogonal code,
                          t = r * Beta(2, 2r-2)
-  mixture(d)             weighted sums of exponentials (log-sum rate terms)
+  gamma(r)               mean of r i.i.d. Exp(1), t ~ Gamma(r, 1/r): the
+                         log-moment phi that verify checks
   point mass             deterministic beamforming
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hypoexp import ExponentialMixture
+from . import specfun
 
 
 @dataclass(frozen=True)
@@ -136,18 +138,34 @@ class EllipticAlamoutiGain:
 
 
 @dataclass(frozen=True)
-class MixtureGain:
-    """Weighted sum of unit-mean exponentials (not unit mean in general)."""
+class GammaGain:
+    """Mean of r i.i.d. unit-mean exponentials, t ~ Gamma(r, 1/r): density
+    r^r t^(r-1) e^(-r t) / (r-1)!, formed in log space so that no factor
+    overflows at large r."""
 
-    mixture: ExponentialMixture
-    name = "exponential_mixture"
+    rank: int
+    name = "gamma"
     support = (0.0, np.inf)
 
+    def pdf(self, t):
+        t = np.asarray(t, dtype=np.float64)
+        r = self.rank
+        pos = np.where(t > 0, t, 1.0)
+        log_p = (r - 1) * np.log(pos) - r * pos + r * math.log(r) - math.lgamma(r)
+        return np.where(t > 0, np.exp(log_p), np.where(t == 0, float(r == 1), 0.0))
+
     def cdf(self, t):
-        return self.mixture.cdf(t)
+        from scipy.special import gammainc  # imported here: see the package docstring
+
+        return gammainc(self.rank, self.rank * np.clip(np.asarray(t, dtype=np.float64), 0, None))
+
+    def log_moment(self):
+        """E[log t] = H_{r-1} - gamma - log r."""
+        return float(specfun.harmonic(self.rank - 1)) - specfun.EULER_GAMMA - math.log(self.rank)
 
     def sample(self, rng, size):
-        return self.mixture.sample(rng, size)
+        zeta = rng.standard_exponential((size, self.rank))
+        return zeta @ np.full(self.rank, 1.0 / self.rank)
 
 
 def elliptic_gain(rank):

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gainlaws, quadrature, specfun
-from .hypoexp import ExponentialMixture
 
 __all__ = [
     "SchemeParams",
-    "BinghamUserParams",
     "RateScheme",
     "RATE_SCHEMES",
     "rate_mc",
@@ -30,8 +28,6 @@ __all__ = [
     "rate_sbf_alam_gauss",
     "rate_sbf_alam_ellip",
     "gap_limit",
-    "phi_exp_mixture",
-    "rate_bingham_user",
     "quadrature_rate_oracle",
     "gain_law_for_scheme",
 ]
@@ -154,10 +150,10 @@ class RateScheme:
 
     rate: SchemeParams -> achievable rate in nats.  None marks
         bingham_phi, which is no transmission scheme but the verify check
-        of phi_exp_mixture on the equal-weight rank-r mixture (the
-        log-moment term of the Bingham-weight rate).
+        of the log-moment phi = E[log t] of its Gamma(r, 1/r) law (the
+        equal-weight case of the Bingham-weight rate's phi terms).
     gain_law: rank -> normalized-gain law (see sbfmc.gainlaws); None for
-        mc and bingham_phi, whose laws verify does not sample.
+        mc, whose law verify does not sample.
     gap_limit: rank -> high-power limit of C_mc - rate, in nats; None for
         mc, the bound itself.
     uses_rank: whether the law depends on the rank of the covariance.
@@ -196,7 +192,9 @@ RATE_SCHEMES = {
         gain_law=lambda r: gainlaws.EllipticAlamoutiGain(r),
         gap_limit=lambda r: float(specfun.harmonic(2 * r - 1)) - math.log(r) - 1.0,
         uses_rank=True, min_rank=2),
-    "bingham_phi": RateScheme(rate=None, gain_law=None, gap_limit=None, uses_rank=True),
+    "bingham_phi": RateScheme(
+        rate=None,
+        gain_law=lambda r: gainlaws.GammaGain(r), gap_limit=None, uses_rank=True),
 }
 
 
@@ -214,69 +212,6 @@ def gap_limit(scheme, rank=1):
     if rank < entry.min_rank:
         raise ValueError(f"{scheme} gap limit needs rank >= {entry.min_rank}, got {rank}")
     return entry.gap_limit(rank)
-
-
-def phi_exp_mixture(mix):
-    """E[log sum_k d_k zeta_k] for i.i.d. unit-mean exponential zeta.
-
-    Closed form through the partial-fraction density and the log-moment
-    integral theta: the (r_k - m)! factors cancel against theta's
-    factorial, leaving sums of Psi[k,m] d_k^(q+1) (H_q - gamma + log d_k).
-    """
-    if not isinstance(mix, ExponentialMixture):
-        mix = ExponentialMixture.from_weights(mix)
-    pref = math.prod(
-        d ** -r for d, r in zip(mix.distinct_means, mix.multiplicities)
-    )
-    total = 0.0
-    for k, (d, rk) in enumerate(zip(mix.distinct_means, mix.multiplicities)):
-        for m in range(1, rk + 1):
-            q = rk - m
-            hq = float(specfun.harmonic(q))
-            total += (
-                (-1) ** q
-                * mix.psi[k, m - 1]
-                * d ** (q + 1)
-                * (hq - specfun.EULER_GAMMA + math.log(d))
-            )
-    return pref * total
-
-
-@dataclass(frozen=True)
-class BinghamUserParams:
-    """Per-user inputs of the Bingham-weight rate: quadratic-form gain
-    rho_i, the user's eigen-gain vector mu and the covariance spectrum
-    lambda (sums to 1).  Deriving mu and lambda from channels is out of
-    scope; they are taken as given."""
-
-    rho_i: float
-    mu: tuple
-    lam: tuple
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        lam = np.asarray(self.lam, dtype=np.float64)
-        if not self.rho_i > 0:
-            raise ValueError(f"rho_i must be > 0, got {self.rho_i}")
-        if np.any(mu < 0) or not np.any(mu > 0):
-            raise ValueError("mu must be nonnegative with at least one positive entry")
-        if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-12:
-            raise ValueError("lambda must be nonnegative and sum to 1 (tol 1e-12)")
-
-
-def rate_bingham_user(bp, power):
-    """Bingham-weight SBF rate of one user:
-    log(1 + rho_i P) + phi(mu / sum mu) - phi(lambda).
-
-    Zero entries of either weight vector are dropped before building the
-    mixtures (a zero mean contributes nothing to the weighted sum).
-    """
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    mu = np.asarray(bp.mu, dtype=np.float64)
-    mix_mu = ExponentialMixture.from_weights(mu / mu.sum())
-    mix_lam = ExponentialMixture.from_weights(bp.lam)
-    return math.log1p(bp.rho_i * power) + phi_exp_mixture(mix_mu) - phi_exp_mixture(mix_lam)
 
 
 def gain_law_for_scheme(scheme, rank=1):

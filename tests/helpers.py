@@ -9,9 +9,13 @@
 - The special functions and exact binomial identities behind the paper's
   rate algebra: the exponential integral E1, incomplete gamma at order 0
   and -1, three alternating binomial sums and the log-moment integral theta.
+- The paper's Bingham-weight per-user rate and its inputs, through the
+  log-moments phi of hypoexp.py.  No command computes it: the CLI takes no
+  per-user spectra mu and lambda.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +23,8 @@ import numpy as np
 from sbfmc import linksim, specfun
 from sbfmc.sampling import ChannelSet, SeededStream, randn_complex
 from sbfmc.specfun import EULER_GAMMA, harmonic
+
+from hypoexp import ExponentialMixture, phi_exp_mixture
 
 # weight draws per step of estimate_user_rates_mc, which bounds its memory
 _MC_CHUNK = 1 << 16
@@ -246,3 +252,40 @@ def theta(d, n):
     if n < 0:
         raise ValueError(f"theta requires n >= 0, got {n}")
     return math.factorial(n) * d ** (n + 1) * (float(harmonic(n)) - EULER_GAMMA + math.log(d))
+
+
+@dataclass(frozen=True)
+class BinghamUserParams:
+    """Per-user inputs of the Bingham-weight rate: quadratic-form gain
+    rho_i, the user's eigen-gain vector mu and the covariance spectrum
+    lambda (sums to 1).  Deriving mu and lambda from channels is out of
+    scope; they are taken as given."""
+
+    rho_i: float
+    mu: tuple
+    lam: tuple
+
+    def __post_init__(self):
+        mu = np.asarray(self.mu, dtype=np.float64)
+        lam = np.asarray(self.lam, dtype=np.float64)
+        if not self.rho_i > 0:
+            raise ValueError(f"rho_i must be > 0, got {self.rho_i}")
+        if np.any(mu < 0) or not np.any(mu > 0):
+            raise ValueError("mu must be nonnegative with at least one positive entry")
+        if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-12:
+            raise ValueError("lambda must be nonnegative and sum to 1 (tol 1e-12)")
+
+
+def rate_bingham_user(bp, power):
+    """Bingham-weight SBF rate of one user:
+    log(1 + rho_i P) + phi(mu / sum mu) - phi(lambda).
+
+    Zero entries of either weight vector are dropped before building the
+    mixtures (a zero mean contributes nothing to the weighted sum).
+    """
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    mu = np.asarray(bp.mu, dtype=np.float64)
+    mix_mu = ExponentialMixture.from_weights(mu / mu.sum())
+    mix_lam = ExponentialMixture.from_weights(bp.lam)
+    return math.log1p(bp.rho_i * power) + phi_exp_mixture(mix_mu) - phi_exp_mixture(mix_lam)

@@ -19,14 +19,15 @@ from scipy.stats import kstest, ks_2samp, kstwobign
 
 from sbfmc import capacity, cli, gainlaws, linksim, rates, sampling, specfun
 from sbfmc.capacity import CovarianceMatrix
-from sbfmc.hypoexp import ExponentialMixture
 from sbfmc.linksim import SchemeConfig, make_constellation
 from sbfmc.quadrature import adaptive_gauss_legendre
 from sbfmc.rates import SchemeParams
 from sbfmc.sampling import SeededStream, WeightSampler
 
-from helpers import (alt_binom_over_k, binom_id_shift2, binom_id_shift2_sq, detect_qostbc,
-                     sample_channel_set, sample_exponential_vector)
+from helpers import (BinghamUserParams, alt_binom_over_k, binom_id_shift2, binom_id_shift2_sq,
+                     detect_qostbc, rate_bingham_user, sample_channel_set,
+                     sample_exponential_vector)
+from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
 
 QPSK = make_constellation("qpsk")
 BPSK = make_constellation("bpsk")
@@ -79,12 +80,12 @@ def test_criterion_03_bingham_phi():
     details = []
     for i, w in enumerate(vectors):
         mix = ExponentialMixture.from_weights(w)
-        closed = rates.phi_exp_mixture(mix)
+        closed = phi_exp_mixture(mix)
         z = mix.sample(SeededStream(303, 1 + i).generator(), 10**6)
         logs = np.log(z)
         se = logs.std(ddof=1) / 1000.0
         dev = abs(closed - logs.mean()) / se
-        upper = gainlaws.truncation_point(gainlaws.MixtureGain(mix))
+        upper = gainlaws.truncation_point(MixtureGain(mix))
         integral, _ = adaptive_gauss_legendre(mix.pdf, 0.0, upper, tol=1e-10)
         norm_err = abs(integral - 1.0)
         ok &= dev <= 3.0 and norm_err <= 1e-8
@@ -155,7 +156,7 @@ def test_criterion_07_sampler_fidelity():
         "elliptic(3)": gainlaws.EllipticGain(3),
         "chi_square_4": gainlaws.ChiSquare4Gain(),
         "elliptic_alamouti(3)": gainlaws.EllipticAlamoutiGain(3),
-        "mixture": gainlaws.MixtureGain(ExponentialMixture.from_weights([0.5, 0.3, 0.2])),
+        "mixture": MixtureGain(ExponentialMixture.from_weights([0.5, 0.3, 0.2])),
     }
     stats = {}
     for i, (name, law) in enumerate(laws.items()):
@@ -230,14 +231,14 @@ def test_criterion_08_monte_carlo_rate_closure():
     # Bingham rate through the exponential-vector representation
     lam = np.array([0.5, 0.3, 0.2])
     mu = np.array([1.0, 2.0, 3.0])
-    bp = rates.BinghamUserParams(rho, tuple(mu), tuple(lam))
+    bp = BinghamUserParams(rho, tuple(mu), tuple(lam))
     zeta = sample_exponential_vector(rank, SeededStream(808, 4), n)
     vals = (
         math.log1p(rho * power)
         + np.log(zeta @ (mu / mu.sum()))
         - np.log(zeta @ lam)
     )
-    devs["bingham"] = mc_dev(vals, rates.rate_bingham_user(bp, power))
+    devs["bingham"] = mc_dev(vals, rate_bingham_user(bp, power))
     elapsed = time.perf_counter() - t0
     ok = all(d <= 3.0 for d in devs.values()) and elapsed < 60.0
     report(8, ok,

@@ -124,6 +124,17 @@ class TestVerify:
         assert float(row["mc_estimate"]) == math.log1p(10.0)
         assert float(row["mc_stderr"]) == 0.0
 
+    @pytest.mark.parametrize("rank", [150, 1000])
+    def test_high_rank_rows_pass(self, tmp_path, rank):
+        # the bingham_phi row's Gamma density is formed in log space, so
+        # r^r and (r-1)! never overflow
+        code, text = run_cli(tmp_path, "verify", f"n_samples = 1000\nrank = {rank}\n"
+                             "schemes = bingham_phi, ellip_sbf, ellip_sbf_alamouti\n")
+        assert code == 0
+        rows = rows_of(text)[1]
+        assert [r["scheme"] for r in rows] == ["bingham_phi", "ellip_sbf", "ellip_sbf_alamouti"]
+        assert all(r["pass"] == "true" for r in rows)
+
 
 class TestRates:
     CFG = (
@@ -350,7 +361,7 @@ def run_fresh(code, **env):
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # scipy is imported on first use: scipy.special (the mixture and
+    # scipy is imported on first use: scipy.special (the Gamma and
     # elliptic-Alamouti CDFs) would add ~0.26 s to the ~0.14 s import of
     # sbfmc.cli, and scipy.spatial (the k-d tree of the ML search) ~0.41 s,
     # medians of 11 fresh interpreters on a 2-core x86 box
@@ -378,7 +389,7 @@ def test_commands_without_a_cdf_leave_scipy_special_unloaded(tmp_path):
 
 
 def test_deferred_import_in_frame_threads(tmp_path):
-    # verify's bingham_phi row makes the process's first mixture CDF call,
+    # verify's bingham_phi row makes the process's first Gamma CDF call,
     # and so imports scipy.special, in a worker thread when SBF_THREADS > 1
     cfg = tmp_path / "verify.cfg"
     cfg.write_text(TestVerify.CFG)

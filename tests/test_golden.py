@@ -42,7 +42,7 @@ CLI_CASES = {
 CLI_DIGESTS = {
     "ber": "8058093b4effdb87755e5d8a444ad24293d3c45de9d7f19182f6dca6eee400ac",
     "gaps": "3bceb5929946e718c4b038dc4e0e193c23866c4e05707674a114811282431eae",
-    "verify": "424e979def2c4aaec4bb67c5d28259b75c96625f2f694c0674ec5d92f87e7f77",
+    "verify": "217c4980d87f79f5ad2118040ec75e13c5d162031e69cebde30318f8c2aadb55",
     "rates": "33d267c2c1b01e08e82e08771ba753894e5330931ef34261a9d33ab2a3c31f2d",
 }
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sbfmc.hypoexp import ExponentialMixture, partial_fraction_coeffs
+from hypoexp import ExponentialMixture, partial_fraction_coeffs
 
 
 def test_single_component_is_plain_exponential():
@@ -90,3 +90,11 @@ def test_degenerate_inputs():
         ExponentialMixture.from_weights([])
     with pytest.raises(ValueError):
         ExponentialMixture.from_weights([-0.1, 1.1])
+
+
+def test_nan_density_rejected():
+    # at rank 150 the prefactor 150^150 overflows and the density's integral
+    # is NaN, which must fail the normalization check
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="integrates to"):
+        ExponentialMixture.from_weights(np.full(150, 1.0 / 150))

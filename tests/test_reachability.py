@@ -31,14 +31,8 @@ UNCALLED = {
     # commands integrate the densities of these laws and never their CDFs
     "gainlaws.EllipticAlamoutiGain.cdf",
     "gainlaws.EllipticGain.cdf",
-    # verify's bingham_phi row draws from the mixture itself
-    "gainlaws.MixtureGain.sample",
     # error path: a quadrature that misses its tolerance
     "quadrature.QuadratureError.__init__",
-    # the paper's Bingham-weight rate and its inputs, checked by acceptance
-    # criterion 8
-    "rates.BinghamUserParams.__post_init__",
-    "rates.rate_bingham_user",
 }
 
 # comprehensions run as part of the function that holds them

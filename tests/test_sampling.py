@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import kstest, ks_2samp, kstwobign
 
 from sbfmc import gainlaws, rates, sampling, specfun
-from sbfmc.hypoexp import ExponentialMixture
 from sbfmc.rates import SchemeParams
 from sbfmc.sampling import (
     ChannelSet,
@@ -15,6 +14,7 @@ from sbfmc.sampling import (
 )
 
 from helpers import sample_channel_set, sample_exponential_vector
+from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
 
 N_KS = 10**5
 
@@ -209,9 +209,10 @@ LAWS = {
     "elliptic_r3": gainlaws.EllipticGain(3),
     "chi_square_4": gainlaws.ChiSquare4Gain(),
     "elliptic_alamouti_r2": gainlaws.EllipticAlamoutiGain(2),
-    "mixture": gainlaws.MixtureGain(
+    "mixture": MixtureGain(
         ExponentialMixture.from_weights([0.5, 0.3, 0.2])
     ),
+    "gamma_r3": gainlaws.GammaGain(3),
 }
 
 
@@ -249,6 +250,48 @@ class TestGainLaws:
         law = gainlaws.elliptic_gain(1)
         assert isinstance(law, gainlaws.PointMassGain)
         assert np.all(law.sample(SeededStream(6, 4).generator(), 10) == 1.0)
+
+
+class TestGammaGain:
+    """The equal-weight mixture, checked against the partial-fraction oracle
+    up to rank 50 (beyond about 72 the oracle's z^(r-1) d^-r product goes
+    subnormal in the tail) and against mpmath above."""
+
+    @staticmethod
+    def grid(law):
+        return np.linspace(0.0, gainlaws.truncation_point(law), 401)
+
+    def test_draws_match_mixture(self):
+        for r in range(1, 41):
+            mix = ExponentialMixture.from_weights(np.full(r, 1.0 / r))
+            a = gainlaws.GammaGain(r).sample(SeededStream(7, r).generator(), 1000)
+            b = mix.sample(SeededStream(7, r).generator(), 1000)
+            assert np.array_equal(a, b), r
+
+    def test_against_mixture_oracle(self):
+        for r in range(1, 51):
+            law = gainlaws.GammaGain(r)
+            mix = ExponentialMixture.from_weights(np.full(r, 1.0 / r))
+            z = self.grid(law)
+            ref = mix.pdf(z)
+            big = ref > 1e-200
+            assert np.all(np.abs(law.pdf(z[big]) / ref[big] - 1.0) <= 1e-12), r
+            assert law.pdf(0.0) == ref[0], r
+            assert np.max(np.abs(law.cdf(z) - mix.cdf(z))) <= 1e-14, r
+            assert abs(law.log_moment() - phi_exp_mixture(mix)) <= 1e-14, r
+
+    @pytest.mark.parametrize("r", [150, 1000])
+    def test_pdf_against_mpmath(self, r):
+        mp = pytest.importorskip("mpmath")
+        law = gainlaws.GammaGain(r)
+        z = self.grid(law)[1:]
+        got = law.pdf(z)
+        with mp.workdps(40):
+            ref = np.array([float(mp.mpf(r) ** r * mp.mpf(t) ** (r - 1) * mp.exp(-r * mp.mpf(t))
+                                  / mp.gamma(r)) for t in z])
+        big = ref > 1e-200
+        assert big.sum() > 20
+        assert np.all(np.abs(got[big] / ref[big] - 1.0) <= 1e-11)
 
 
 class TestWeightLawEquivalence:
