@@ -83,7 +83,6 @@ class McSolution:
     gap: float
     iterations: int
     converged: bool
-    best_objective_history: tuple
 
 
 def rho_values(w, ch):
@@ -289,18 +288,17 @@ def _matched_beamforming(h):
     # the single-user optimum
     w = np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
     obj = float(np.linalg.norm(h) ** 2)
-    return McSolution(CovarianceMatrix(w), obj, obj, 0.0, 0, True, (obj,))
+    return McSolution(CovarianceMatrix(w), obj, obj, 0.0, 0, True)
 
 
 def solve_mc_covariances(channel_sets, tol=1e-6, max_iter=100_000):
     """Max-min optimal covariances of channel sets that share one shape
     (M, N), solved on one batched path; see module docstring.
 
-    Returns one McSolution per set, equal to what ``solve_mc_covariance``
-    returns for that set alone.  ``max_iter`` caps each set's Newton steps,
-    and ``best_objective_history`` holds the set's best objective after each
-    of its steps; ``converged`` is False when the certified gap of the
-    returned covariance is still above tol.
+    Returns one McSolution per set, equal to what a batch of that set alone
+    returns.  ``max_iter`` caps each set's Newton steps; ``converged`` is
+    False when the certified gap of the returned covariance is still above
+    tol.
     """
     hch = np.stack([ch.channels for ch in channel_sets]).astype(np.complex128)
     k, m, n = hch.shape
@@ -310,7 +308,7 @@ def solve_mc_covariances(channel_sets, tol=1e-6, max_iter=100_000):
     ub = _dual_bound(hch, np.ones((k, m)))
     w, z = np.tile(np.eye(n) / n + 0j, (k, 1, 1)), np.tile(np.eye(n) + 0j, (k, 1, 1))
     w_out, obj_out = [None] * k, np.full(k, -np.inf)
-    history = [[] for _ in range(k)]
+    steps = np.zeros(k, dtype=int)
     mu_prev = np.full(k, np.inf)
     path = _central_path(hch)
     done = None
@@ -321,10 +319,8 @@ def solve_mc_covariances(channel_sets, tol=1e-6, max_iter=100_000):
             break  # every member ended
         w[idx], z[idx] = w_step, z_step
         h = hch[idx]
+        steps[idx] += 1
         obj = _gains(h, w_step).min(axis=1)
-        for i, o in zip(idx, obj.tolist()):
-            hist = history[i]
-            hist.append(max(o, hist[-1]) if hist else o)
         ub_q = np.full(idx.size, np.inf)
         has_q = q.sum(axis=1) > 0
         if has_q.any():
@@ -350,12 +346,5 @@ def solve_mc_covariances(channel_sets, tol=1e-6, max_iter=100_000):
     w_out = np.stack([wo if wo is not None else _rank_finish(w[i:i + 1], z[i:i + 1])[0][0]
                       for i, wo in enumerate(w_out)])
     obj = _gains(hch, w_out).min(axis=1).tolist()
-    return [McSolution(CovarianceMatrix(wo), ob, u, u - ob, len(hist), u - ob <= tol,
-                       tuple(hist))
-            for wo, ob, u, hist in zip(w_out, obj, ub.tolist(), history)]
-
-
-def solve_mc_covariance(ch, tol=1e-6, max_iter=100_000):
-    """Max-min optimal covariance for one channel set: a batch of one of
-    ``solve_mc_covariances``."""
-    return solve_mc_covariances([ch], tol, max_iter)[0]
+    return [McSolution(CovarianceMatrix(wo), ob, u, u - ob, st, u - ob <= tol)
+            for wo, ob, u, st in zip(w_out, obj, ub.tolist(), steps.tolist())]

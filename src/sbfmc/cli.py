@@ -9,15 +9,18 @@ significant digits, so reruns are byte-identical for any SBF_THREADS value.
 
 Exit codes: 0 all checks pass, 1 tolerance failure, 2 input error.
 
-Stream layout: channel realizations draw from stream_id 0; verify rows use
-stream_id (1 << 32) + row; BER rows use stream_id (2 << 32) + row with one
-sub-stream per frame.
+Stream layout: channels draw from stream_id 0, one sub-stream per draw:
+realization j of the M-user population of `rates` from sub-stream
+M * 10^6 + j, the one `ber` channel per M from realization 0 of that
+population (sub-stream M * 10^6), and the `solve-cov` channel from
+sub-stream 0.  verify rows use stream_id (1 << 32) + row; BER rows use
+stream_id (2 << 32) + row with one sub-stream per frame.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,9 +43,9 @@ class ConfigError(Exception):
 class ExperimentConfig:
     n: int = 4
     m: int = 16
-    m_grid: list = field(default_factory=list)
-    power_db: list = field(default_factory=lambda: [10.0])
-    schemes: list = field(default_factory=lambda: [
+    m_grid: list[int] = field(default_factory=list)
+    power_db: list[float] = field(default_factory=lambda: [10.0])
+    schemes: list[str] = field(default_factory=lambda: [
         name for name, s in rates.RATE_SCHEMES.items() if s.rate is not None])
     constellation: str = "qpsk"
     seed: int = 0
@@ -57,18 +60,24 @@ class ExperimentConfig:
     output: str = "-"
 
 
-_INT_KEYS = {"n", "m", "seed", "n_samples", "n_frames", "n_realizations", "rank",
-             "frame_length", "solver_max_iter"}
-_FLOAT_KEYS = {"rho_min", "solver_tol"}
-_LIST_FLOAT_KEYS = {"power_db"}
-_LIST_INT_KEYS = {"m_grid"}
-_LIST_STR_KEYS = {"schemes"}
-_STR_KEYS = {"constellation", "output"}
+def _converter(tp):
+    """Value text -> value of a config field annotated tp: the scalar type
+    itself, or a comma-separated list of its element type (blank items
+    dropped, string items stripped)."""
+    from typing import get_args
+
+    args = get_args(tp)
+    if not args:
+        return tp
+    item = str.strip if args[0] is str else args[0]
+    return lambda value: [item(v) for v in value.split(",") if v.strip()]
 
 
 def parse_config(text):
-    """Parse the flat key-value config format."""
+    """Parse the flat key-value config format; each value converts by the
+    type of its ExperimentConfig field."""
     cfg = ExperimentConfig()
+    types = {f.name: f.type for f in fields(cfg)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,21 +85,10 @@ def parse_config(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in types:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _LIST_FLOAT_KEYS:
-                setattr(cfg, key, [float(v) for v in value.split(",") if v.strip()])
-            elif key in _LIST_INT_KEYS:
-                setattr(cfg, key, [int(v) for v in value.split(",") if v.strip()])
-            elif key in _LIST_STR_KEYS:
-                setattr(cfg, key, [v.strip() for v in value.split(",") if v.strip()])
-            elif key in _STR_KEYS:
-                setattr(cfg, key, value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            setattr(cfg, key, _converter(types[key])(value))
         except ValueError as ex:
             raise ConfigError(f"line {lineno}: bad value for {key}: {ex}") from ex
     if not cfg.power_db:
@@ -146,21 +144,18 @@ def _rate_entries(cfg):
     return [(name, rates.RATE_SCHEMES[name]) for name in cfg.schemes]
 
 
-def _solve_realizations(cfg, m):
-    """Channel set, covariance solution and gains for every realization of
-    an M-user population; realization j draws from channel sub-stream
-    indexed by (m, j), and all of them are solved as one batch."""
+def _solve_realizations(cfg, m, keys):
+    """(channel set, covariance solution, per-user gains rho, rank of W*) of
+    one M-user draw per channel sub-stream key of stream 0 (see the module
+    docstring), all solved as one batch.  Every command that solves draws
+    and solves here."""
     base = SeededStream(cfg.seed, 0)
-    chs = [sampling.ChannelSet(
-        sampling.randn_complex(base.substream(m * 1_000_000 + j), m, cfg.n))
-        for j in range(cfg.n_realizations)]
+    chs = [sampling.ChannelSet(sampling.randn_complex(base.substream(key), m, cfg.n))
+           for key in keys]
     sols = capacity.solve_mc_covariances(chs, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    out = []
-    for ch, sol in zip(chs, sols):
-        rho_min = capacity.rho_values(sol.covariance, ch)[1]
-        rank = sampling.psd_sqrt(sol.covariance.entries)[1]
-        out.append((ch, sol, rho_min, rank))
-    return out
+    return [(ch, sol, capacity.rho_values(sol.covariance, ch)[0],
+             sampling.psd_sqrt(sol.covariance.entries)[1])
+            for ch, sol in zip(chs, sols)]
 
 
 def cmd_rates(cfg):
@@ -171,15 +166,16 @@ def cmd_rates(cfg):
     schemes = [(s, e) for s, e in _rate_entries(cfg) if e.rate is not None]
     rows = []
     for m in m_values:
-        reals = _solve_realizations(cfg, m)
+        reals = _solve_realizations(cfg, m, [m * 1_000_000 + j for j in range(cfg.n_realizations)])
         n_bad = sum(0 if sol.converged else 1 for _, sol, _, _ in reals)
         status = "ok" if n_bad == 0 else f"noconv:{n_bad}"
+        gains = [(float(rho.min()), rank) for _, _, rho, rank in reals]
         for p_db in cfg.power_db:
             power = db_to_linear(p_db)
             for scheme, entry in schemes:
                 vals = []
                 n_skipped = 0
-                for _, sol, rho_min, rank in reals:
+                for rho_min, rank in gains:
                     if rank < entry.min_rank:  # min_rank is at most 2
                         n_skipped += 1
                         continue
@@ -287,9 +283,7 @@ def cmd_ber(cfg):
     rows = []
     row_idx = 0
     for m in m_values:
-        rng = SeededStream(cfg.seed, 0).substream(m * 1_000_000)
-        ch = sampling.ChannelSet(sampling.randn_complex(rng, m, cfg.n))
-        sol = capacity.solve_mc_covariance(ch, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+        ((ch, sol, _, _),) = _solve_realizations(cfg, m, [m * 1_000_000])
         status = "ok" if sol.converged else "noconv"
         for p_db in cfg.power_db:
             for scheme in schemes:
@@ -307,10 +301,7 @@ def cmd_ber(cfg):
 def cmd_solve_cov(cfg):
     """Solve the max-min covariance for one channel draw and dump W*, the
     per-user gains and solver status."""
-    rng = SeededStream(cfg.seed, 0).substream(0)
-    ch = sampling.ChannelSet(sampling.randn_complex(rng, cfg.m, cfg.n))
-    sol = capacity.solve_mc_covariance(ch, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    rho, rho_min = capacity.rho_values(sol.covariance, ch)
+    ((_, sol, rho, _),) = _solve_realizations(cfg, cfg.m, [0])
     header = ["kind", "i", "j", "value_re", "value_im"]
     rows = []
     w = sol.covariance.entries
@@ -319,7 +310,7 @@ def cmd_solve_cov(cfg):
             rows.append(["W", i, j, w[i, j].real, w[i, j].imag])
     for i, r in enumerate(rho):
         rows.append(["rho", i, 0, r, 0.0])
-    rows.append(["rho_min", 0, 0, rho_min, 0.0])
+    rows.append(["rho_min", 0, 0, float(rho.min()), 0.0])
     rows.append(["objective", 0, 0, sol.objective, 0.0])
     rows.append(["gap", 0, 0, sol.gap, 0.0])
     rows.append(["converged", 0, 0, 1.0 if sol.converged else 0.0, 0.0])

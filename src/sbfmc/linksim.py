@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import CovarianceMatrix
-from .sampling import SeededStream, WeightSampler, fill_randn_complex, psd_sqrt
+from .sampling import WeightSampler, fill_randn_complex, psd_sqrt
 
 _ML_SEARCH_GUARD = 10**6
 # candidate rows that one BER row's ML searches may hold at once, over all
@@ -181,7 +181,6 @@ class SimResult:
     per_user_ber: np.ndarray
     worst_user_ber: float
     bits_simulated: int
-    seed: SeededStream
     worst_user_stderr: float
 
 
@@ -591,5 +590,5 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
     ber = errors / total_bits
     worst = float(ber.max())
     stderr = math.sqrt(max(worst * (1.0 - worst), 0.0) / total_bits)
-    return SimResult(ber, worst, total_bits, stream, stderr)
+    return SimResult(ber, worst, total_bits, stderr)
 

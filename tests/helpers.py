@@ -6,6 +6,7 @@
   one-shot nearest-candidate search as standalone calls, and the Monte Carlo
   per-user rate estimator.
 - Draws: i.i.d. CN(0, I_N) channel sets and exponential vectors.
+- The max-min covariance of one channel set, a batch of one.
 - The special functions and exact binomial identities behind the paper's
   rate algebra: the exponential integral E1, incomplete gamma at order 0
   and -1, three alternating binomial sums and the log-moment integral theta.
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sbfmc import linksim, specfun
+from sbfmc import capacity, linksim, specfun
 from sbfmc.sampling import ChannelSet, SeededStream, randn_complex
 from sbfmc.specfun import EULER_GAMMA, harmonic
 
@@ -145,6 +146,11 @@ def sample_channel_set(n, m, stream):
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
     rng = stream.generator()
     return ChannelSet(randn_complex(rng, m, n))
+
+
+def solve_mc_covariance(ch, tol=1e-6, max_iter=100_000):
+    """Max-min optimal covariance of one channel set: a batch of one."""
+    return capacity.solve_mc_covariances([ch], tol, max_iter)[0]
 
 
 def _e1(x):

@@ -26,7 +26,7 @@ from sbfmc.sampling import SeededStream, WeightSampler
 
 from helpers import (BinghamUserParams, alt_binom_over_k, binom_id_shift2, binom_id_shift2_sq,
                      detect_qostbc, rate_bingham_user, sample_channel_set,
-                     sample_exponential_vector)
+                     sample_exponential_vector, solve_mc_covariance)
 from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
 
 QPSK = make_constellation("qpsk")
@@ -249,12 +249,12 @@ def test_criterion_08_monte_carlo_rate_closure():
 
 def test_criterion_09_capacity_solver():
     ch1 = sample_channel_set(4, 1, SeededStream(909, 0))
-    sol1 = capacity.solve_mc_covariance(ch1)
+    sol1 = solve_mc_covariance(ch1)
     m1_err = abs(sol1.objective - np.linalg.norm(ch1.channels[0]) ** 2)
 
     # frozen instance; reference objective from a one-off CVXOPT solve
     ch = sample_channel_set(4, 8, SeededStream(20250811, 0))
-    sol = capacity.solve_mc_covariance(ch, tol=1e-6)
+    sol = solve_mc_covariance(ch, tol=1e-6)
     golden_err = abs(sol.objective - 0.9461726005089293)
     report(9, m1_err <= 1e-10 and golden_err <= 1e-5,
            f"solver: M=1 exact ({m1_err:.2e}), golden N=4/M=8 instance "
@@ -333,7 +333,7 @@ def test_criterion_10_link_simulator():
     for m in (16, 24):
         for j in range(n_real):
             chm = sample_channel_set(4, m, SeededStream(1010, 100 * m + j))
-            sol = capacity.solve_mc_covariance(chm, tol=1e-4)
+            sol = solve_mc_covariance(chm, tol=1e-4)
             rho, rho_min = capacity.rho_values(sol.covariance, chm)
             i_min = int(np.argmin(rho))
             _, rank = sampling.psd_sqrt(sol.covariance.entries)

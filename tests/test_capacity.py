@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from sbfmc import capacity, sampling
-from sbfmc.capacity import (
-    CovarianceMatrix,
-    rho_values,
-    solve_mc_covariance,
-    solve_mc_covariances,
-)
+from sbfmc.capacity import CovarianceMatrix, rho_values, solve_mc_covariances
 from sbfmc.sampling import ChannelSet, SeededStream
 
-from helpers import sample_channel_set
+from helpers import sample_channel_set, solve_mc_covariance
 
 # objective of the frozen (N=4, M=8) instance below, from a one-off
 # interior-point solve (CVXOPT), kept as the cross-solver reference
@@ -90,13 +85,6 @@ class TestSolver:
         assert sol.converged
         assert abs(sol.objective - GOLDEN_OBJECTIVE) <= 1e-5
 
-    def test_best_objective_monotone(self):
-        ch = sample_channel_set(4, 12, SeededStream(5, 2))
-        sol = solve_mc_covariance(ch)
-        hist = sol.best_objective_history
-        assert len(hist) >= 2  # one entry per Newton step
-        assert all(a <= b + 1e-15 for a, b in zip(hist, hist[1:]))
-
     def test_certificate_is_valid_bound(self):
         for j in range(3):
             ch = sample_channel_set(4, 8, SeededStream(5, 10 + j))
@@ -119,7 +107,6 @@ class TestSolver:
         sol = solve_mc_covariance(ch, tol=1e-6, max_iter=2)
         assert not sol.converged
         assert sol.iterations == 2
-        assert len(sol.best_objective_history) == 2
         CovarianceMatrix(sol.covariance.entries)  # passes validation
         assert sol.gap == sol.upper_bound - sol.objective
         assert sol.gap > 1e-6
@@ -170,10 +157,8 @@ class TestRankFinish:
 
 def assert_same_solution(got, ref):
     assert got.covariance.entries.tobytes() == ref.covariance.entries.tobytes()
-    assert (got.objective, got.upper_bound, got.gap, got.iterations, got.converged,
-            got.best_objective_history) == (ref.objective, ref.upper_bound, ref.gap,
-                                             ref.iterations, ref.converged,
-                                             ref.best_objective_history)
+    assert (got.objective, got.upper_bound, got.gap, got.iterations, got.converged) == (
+        ref.objective, ref.upper_bound, ref.gap, ref.iterations, ref.converged)
 
 
 class TestBatchedSolve:

@@ -258,6 +258,26 @@ class TestSolveCov:
         assert a == b
 
 
+def test_capped_solver_flags_every_command(tmp_path):
+    # one Newton step leaves every M = 3 solve uncertified: each command
+    # that solves must say so, never print a silent ok
+    cap = "n = 4\nm = 3\npower_db = 10\nsolver_max_iter = 1\n"
+    code, text = run_cli(tmp_path, "rates", cap + "schemes = mc, gauss_sbf\nn_realizations = 2\n")
+    assert code == 0
+    rows = rows_of(text)[1]
+    assert rows and all(r["status"].split(";")[0] == "noconv:2" for r in rows)
+    code, text = run_cli(tmp_path, "ber", cap + "schemes = bf, gauss_sbf\nframe_length = 8\n"
+                                                "n_frames = 1\n")
+    assert code == 0
+    rows = rows_of(text)[1]
+    assert rows and all(r["status"] == "noconv" for r in rows)
+    code, text = run_cli(tmp_path, "solve-cov", cap)
+    assert code == 0
+    value = {r["kind"]: float(r["value_re"]) for r in rows_of(text)[1] if r["kind"] != "W"}
+    assert value["converged"] == 0.0
+    assert value["gap"] > parse_config(cap).solver_tol
+
+
 def test_shipped_configs_parse():
     import pathlib
 

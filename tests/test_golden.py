@@ -37,6 +37,7 @@ CLI_CASES = {
     "gaps": lambda: (CONFIGS / "gaps.cfg").read_text(),
     "verify": lambda: (CONFIGS / "verify.cfg").read_text() + "n_samples = 20000\n",
     "rates": lambda: (CONFIGS / "rates_vs_users.cfg").read_text() + "n_realizations = 3\n",
+    "solve-cov": lambda: (CONFIGS / "solve_cov.cfg").read_text(),
 }
 
 CLI_DIGESTS = {
@@ -44,6 +45,7 @@ CLI_DIGESTS = {
     "gaps": "3bceb5929946e718c4b038dc4e0e193c23866c4e05707674a114811282431eae",
     "verify": "217c4980d87f79f5ad2118040ec75e13c5d162031e69cebde30318f8c2aadb55",
     "rates": "33d267c2c1b01e08e82e08771ba753894e5330931ef34261a9d33ab2a3c31f2d",
+    "solve-cov": "3ec128528e77636d5253e84d20ebb028b3ec72e99244170125912bc043a09e0b",
 }
 
 RANK4_COV = CovarianceMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))

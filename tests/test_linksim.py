@@ -19,7 +19,7 @@ from sbfmc.sampling import ChannelSet, SeededStream
 
 from helpers import (_nearest_candidate, alamouti_combine, alamouti_encode, count_bit_errors,
                      detect_qostbc, estimate_user_rates_mc, gray_adjacency_ok, qostbc_encode,
-                     sample_channel_set, transmit_frame)
+                     sample_channel_set, solve_mc_covariance, transmit_frame)
 
 SCHEMES = tuple(linksim.LINK_SCHEMES)
 QPSK = make_constellation("qpsk")
@@ -547,7 +547,7 @@ class TestRateEstimation:
     )
     def test_stochastic_schemes_match_closed_forms(self, scheme, rate_fn):
         ch = sample_channel_set(4, 8, SeededStream(7, 3))  # rank-2 instance
-        sol = capacity.solve_mc_covariance(ch)
+        sol = solve_mc_covariance(ch)
         rank = sampling.psd_sqrt(sol.covariance.entries)[1]
         cfg = SchemeConfig(scheme, sol.covariance, QPSK, 10.0)
         est, se = estimate_user_rates_mc(
@@ -574,7 +574,7 @@ def test_ber_vs_rate_consistency_logged():
     total = 0
     for j in range(6):
         ch = sample_channel_set(4, 12, SeededStream(88, j))
-        sol = capacity.solve_mc_covariance(ch, tol=1e-4)
+        sol = solve_mc_covariance(ch, tol=1e-4)
         rate = {}
         ber = {}
         for k, scheme in enumerate(schemes):
@@ -600,7 +600,7 @@ def test_scheme_ordering_at_high_power():
     n_real = 10
     for j in range(n_real):
         ch = sample_channel_set(4, 16, SeededStream(8, j))
-        sol = capacity.solve_mc_covariance(ch, tol=1e-4)
+        sol = solve_mc_covariance(ch, tol=1e-4)
         kwargs = dict(covariance=sol.covariance, constellation=QPSK, power=power,
                       frame_length=1440)
         ea = simulate_worst_user_ber(
