@@ -6,6 +6,8 @@
   one-shot nearest-candidate search as standalone calls, and the Monte Carlo
   per-user rate estimator.
 - Draws: i.i.d. CN(0, I_N) channel sets and exponential vectors.
+- The CDF of each gain law, for the KS and histogram tests; the library
+  keeps only the tails that set its quadrature limits.
 - The max-min covariance of one channel set, a batch of one.
 - The special functions and exact binomial identities behind the paper's
   rate algebra: the exponential integral E1, incomplete gamma at order 0
@@ -20,12 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import betainc, gammainc
 
-from sbfmc import capacity, linksim, specfun
+from sbfmc import capacity, gainlaws, linksim, specfun
 from sbfmc.sampling import ChannelSet, SeededStream, randn_complex
 from sbfmc.specfun import EULER_GAMMA, harmonic
 
-from hypoexp import ExponentialMixture, phi_exp_mixture
+from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
 
 # weight draws per step of estimate_user_rates_mc, which bounds its memory
 _MC_CHUNK = 1 << 16
@@ -151,6 +154,27 @@ def sample_channel_set(n, m, stream):
 def solve_mc_covariance(ch, tol=1e-6, max_iter=100_000):
     """Max-min optimal covariance of one channel set: a batch of one."""
     return capacity.solve_mc_covariances([ch], tol, max_iter)[0]
+
+
+def gain_cdf(law, t):
+    """P(T <= t) for a gain law of sbfmc.gainlaws or a hypoexp.MixtureGain."""
+    t = np.asarray(t, dtype=np.float64)
+    if isinstance(law, MixtureGain):
+        return law.mixture.cdf(t)
+    if isinstance(law, gainlaws.ExponentialGain):
+        return np.where(t >= 0, -np.expm1(-t), 0.0)
+    if isinstance(law, gainlaws.ChiSquare4Gain):
+        tt = np.clip(t, 0, None)
+        return np.where(t >= 0, 1.0 - np.exp(-2.0 * tt) * (1.0 + 2.0 * tt), 0.0)
+    if isinstance(law, gainlaws.GammaGain):
+        return gammainc(law.rank, law.rank * np.clip(t, 0, None))
+    r = law.rank
+    if isinstance(law, gainlaws.EllipticGain):
+        inside = 1 - (1 - np.clip(t, 0, r) / r) ** (r - 1)
+        return np.where(t >= r, 1.0, np.where(t < 0, 0.0, inside))
+    if isinstance(law, gainlaws.EllipticAlamoutiGain):
+        return betainc(2.0, 2.0 * r - 2.0, np.clip(t, 0, r) / r)
+    raise TypeError(f"no CDF for {law.name}")
 
 
 def _e1(x):

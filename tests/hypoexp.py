@@ -206,8 +206,8 @@ class MixtureGain:
     name = "exponential_mixture"
     support = (0.0, np.inf)
 
-    def cdf(self, t):
-        return self.mixture.cdf(t)
+    def tail(self, t):
+        return 1.0 - float(self.mixture.cdf(t))
 
     def sample(self, rng, size):
         return self.mixture.sample(rng, size)

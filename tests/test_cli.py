@@ -381,17 +381,18 @@ def run_fresh(code, **env):
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # scipy is imported on first use: scipy.special (the Gamma and
-    # elliptic-Alamouti CDFs) would add ~0.26 s to the ~0.14 s import of
-    # sbfmc.cli, and scipy.spatial (the k-d tree of the ML search) ~0.41 s,
-    # medians of 11 fresh interpreters on a 2-core x86 box
+    # no command needs scipy.special, and scipy.spatial (the k-d tree of the
+    # ML search) is imported on the first precoded ML search: at import it
+    # would add ~0.41 s to the ~0.14 s import of sbfmc.cli, medians of 11
+    # fresh interpreters on a 2-core x86 box
     code = ("import sys, sbfmc.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run_fresh(code).strip() == "[]"
 
 
-def test_commands_without_a_cdf_leave_scipy_special_unloaded(tmp_path):
+def test_no_command_loads_scipy_special(tmp_path):
     configs = {
+        "verify": "n_samples = 1000\npower_db = 10\nrank = 3\nschemes = gauss_sbf, bingham_phi\n",
         "rates": "n = 4\nm_grid = 2, 3\npower_db = 10\nn_realizations = 2\n",
         "gaps": "power_db = 0, 20\nrank = 3\n",
         "solve-cov": "n = 4\nm = 3\n",
@@ -405,12 +406,12 @@ def test_commands_without_a_cdf_leave_scipy_special_unloaded(tmp_path):
     code = ("import sys, sbfmc.cli\n"
             f"print([sbfmc.cli.main(argv) for argv in {calls!r}])\n"
             "print('scipy.special' in sys.modules)\n")
-    assert run_fresh(code).split("\n")[:2] == ["[0, 0, 0, 0]", "False"]
+    assert run_fresh(code).split("\n")[:2] == ["[0, 0, 0, 0, 0]", "False"]
 
 
-def test_deferred_import_in_frame_threads(tmp_path):
-    # verify's bingham_phi row makes the process's first Gamma CDF call,
-    # and so imports scipy.special, in a worker thread when SBF_THREADS > 1
+def test_verify_in_frame_threads_leaves_scipy_special_unloaded(tmp_path):
+    # verify's rows run in worker threads when SBF_THREADS > 1; the
+    # bingham_phi row's quadrature limit comes from GammaGain.tail, in math
     cfg = tmp_path / "verify.cfg"
     cfg.write_text(TestVerify.CFG)
     outs = {}
@@ -421,6 +422,6 @@ def test_deferred_import_in_frame_threads(tmp_path):
                 "assert 'scipy.special' not in sys.modules\n"
                 f"print(sbfmc.cli.main({argv!r}))\n"
                 "print('scipy.special' in sys.modules)\n")
-        assert run_fresh(code, SBF_THREADS=threads).split("\n")[:2] == ["0", "True"]
+        assert run_fresh(code, SBF_THREADS=threads).split("\n")[:2] == ["0", "False"]
         outs[threads] = out.read_bytes()
     assert outs["4"] == outs["1"]

@@ -27,10 +27,6 @@ PACKAGE = pathlib.Path(sbfmc.__file__).resolve().parent
 UNCALLED = {
     # read by the benchmark harness only, until it records no backend
     "backend.backend_name",
-    # the laws' definitions that the KS tests draw or compare against; the
-    # commands integrate the densities of these laws and never their CDFs
-    "gainlaws.EllipticAlamoutiGain.cdf",
-    "gainlaws.EllipticGain.cdf",
     # error path: a quadrature that misses its tolerance
     "quadrature.QuadratureError.__init__",
 }

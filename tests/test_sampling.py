@@ -13,7 +13,7 @@ from sbfmc.sampling import (
     psd_sqrt,
 )
 
-from helpers import sample_channel_set, sample_exponential_vector
+from helpers import gain_cdf, sample_channel_set, sample_exponential_vector
 from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
 
 N_KS = 10**5
@@ -221,7 +221,7 @@ class TestGainLaws:
     def test_ks_against_analytic_cdf(self, name):
         law = LAWS[name]
         draws = law.sample(SeededStream(6, hash(name) % 2**32).generator(), N_KS)
-        stat = kstest(draws, lambda x: law.cdf(x)).statistic
+        stat = kstest(draws, lambda x: gain_cdf(law, x)).statistic
         assert stat <= ks_critical(N_KS), name
 
     def test_chi4_moments(self):
@@ -236,7 +236,7 @@ class TestGainLaws:
         draws = law.sample(SeededStream(6, 2).generator(), n)
         edges = np.linspace(0, 2, 51)
         counts, _ = np.histogram(draws, bins=edges)
-        probs = np.diff(law.cdf(edges))
+        probs = np.diff(gain_cdf(law, edges))
         se = np.sqrt(n * probs * (1 - probs))
         assert np.all(np.abs(counts - n * probs) <= 5 * se)
 
@@ -277,7 +277,7 @@ class TestGammaGain:
             big = ref > 1e-200
             assert np.all(np.abs(law.pdf(z[big]) / ref[big] - 1.0) <= 1e-12), r
             assert law.pdf(0.0) == ref[0], r
-            assert np.max(np.abs(law.cdf(z) - mix.cdf(z))) <= 1e-14, r
+            assert np.max(np.abs(gain_cdf(law, z) - mix.cdf(z))) <= 1e-14, r
             assert abs(law.log_moment() - phi_exp_mixture(mix)) <= 1e-14, r
 
     @pytest.mark.parametrize("r", [150, 1000])
@@ -292,6 +292,39 @@ class TestGammaGain:
         big = ref > 1e-200
         assert big.sum() > 20
         assert np.all(np.abs(got[big] / ref[big] - 1.0) <= 1e-11)
+
+
+# gainlaws.truncation_point of each Gamma rank, as the tail 1 - gammainc
+# set it
+GAMMA_TRUNCATION = {
+    1: 64.0, 2: 32.0,
+    **dict.fromkeys(range(3, 6), 16.0),
+    **dict.fromkeys(range(6, 18), 8.0),
+    **dict.fromkeys(range(18, 61), 4.0),
+    **dict.fromkeys((100, 143, 150, 200, 400, 1000), 2.0),
+}
+
+
+class TestTruncationPoint:
+    """The quadrature limits of the unbounded laws.  verify's quadrature of
+    each of these laws runs up to them, so they may not move."""
+
+    def test_limits_pinned(self):
+        assert gainlaws.truncation_point(gainlaws.ExponentialGain()) == 64.0
+        assert gainlaws.truncation_point(gainlaws.ChiSquare4Gain()) == 32.0
+        got = {r: gainlaws.truncation_point(gainlaws.GammaGain(r)) for r in GAMMA_TRUNCATION}
+        assert got == GAMMA_TRUNCATION
+
+    def test_gamma_tail_against_mpmath(self):
+        # relative above 1e-200; below, where the tail goes subnormal, absolute
+        mp = pytest.importorskip("mpmath")
+        for r in (1, 2, 3, 10, 47, 150, 1000):
+            law = gainlaws.GammaGain(r)
+            for k in range(-3, 8):
+                t = 2.0 ** k
+                with mp.workdps(40):
+                    ref = float(mp.gammainc(r, r * mp.mpf(t), mp.inf, regularized=True))
+                assert abs(law.tail(t) - ref) <= 1e-11 * max(ref, 1e-200), (r, t)
 
 
 class TestWeightLawEquivalence:
