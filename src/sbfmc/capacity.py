@@ -14,13 +14,16 @@ q >= 0.
 Algorithm: infeasible-start primal-dual path following with HKM search
 directions and Mehrotra's predictor-corrector (Todd, Toh and Tutuncu, SIAM
 J. Optim. 1998).  The path runs on a batch of channel sets of one shape
-(M, N), such as the realizations of one population: each Newton step
-solves a stack of (M+1) x (M+1) Schur complement systems, one per set
-still on the path, with numpy's stacked dense linear algebra.  A set
-takes 6-17 steps and leaves the stack when it stops; ``max_iter`` caps
-each set's own Newton steps.  The stacked routines and the reductions
-below sum in the same order for one set as for many, so a set's result
-does not depend, to the last bit, on the batch it ran in.
+(M, N), such as the realizations of one population, each scaled to
+max_i |h_i|^2 = 1: each Newton step solves a stack of (M+1) x (M+1) Schur
+complement systems, one per set still on the path, with numpy's stacked
+dense linear algebra.  A set takes 6-17 steps and leaves the stack when it
+is certified, when rounding error stops its progress, or when its step
+breaks down numerically; the others carry on as if it had never been in
+the batch.  ``max_iter`` caps each set's own Newton steps.  The stacked
+routines and the reductions below sum in the same order for one set as for
+many, so a set's result does not depend, to the last bit, on the batch it
+ran in.
 
 Certificate: for any q >= 0, min_i h_i^H W h_i <= lambda_max(sum_i q^_i
 h_i h_i^H) with q^ = q / sum q.  The dual iterate's q gives this upper
@@ -222,53 +225,6 @@ def _newton_step(h, x_mat, x, y, z_mat, z, mu):
     return x_mat, x, y, z_mat, z, _duality_measure(x_mat, x, z_mat, z)
 
 
-def _central_path(hch):
-    """Primal-dual path following on the standard form of the module
-    docstring, for a batch of channel sets hch of shape (K, M, N).
-
-    After each Newton step it yields the batch positions of the members
-    still on the path and, for each of them, the unit-trace primal iterate
-    W, the dual slack Z (for the channels scaled to max_i |h_i|^2 = 1), the
-    dual weights q >= 0 and the duality measure mu.  The caller may send
-    back a boolean mask over those members; the marked ones leave the path.
-    A member whose step breaks down numerically leaves it too, and the
-    others carry on as if it had never been in the batch.
-    """
-    k, m, n = hch.shape
-    scale = np.einsum("kij,kij->ki", hch, hch.conj()).real.max(axis=1)
-    h = hch / np.sqrt(scale)[:, None, None]
-    eye = np.eye(n)
-    # primal W = x_mat and (t, s) = x; dual y = (q, y_tr) with slacks
-    # z_mat = -sum_i q_i h_i h_i^H - y_tr I and z = (sum_i q_i - 1, q)
-    x_mat = np.tile(eye / n + 0j, (k, 1, 1))
-    x = np.full((k, m + 1), 1.0 / n)
-    z_mat = np.tile(eye + 0j, (k, 1, 1))
-    z = np.ones((k, m + 1))
-    state = (x_mat, x, np.zeros((k, m + 1)), z_mat, z, _duality_measure(x_mat, x, z_mat, z))
-    members = np.arange(k)
-    while members.size:
-        try:
-            state = _newton_step(h, *state)
-        except np.linalg.LinAlgError:
-            # find who broke down: a stacked factorization fails as a whole
-            steps = {}
-            for i in range(members.size):
-                try:
-                    steps[i] = _newton_step(h[i:i + 1], *(a[i:i + 1] for a in state))
-                except np.linalg.LinAlgError:
-                    pass
-            ok = list(steps)
-            if not ok:
-                return
-            members, h = members[ok], h[ok]
-            state = tuple(np.concatenate(parts) for parts in zip(*steps.values()))
-        x_mat, _, y, z_mat, _, mu = state
-        done = yield members, _unit_trace(x_mat), z_mat, np.maximum(y[:, :m], 0.0), mu
-        if done is not None and done.any():
-            members, h = members[~done], h[~done]
-            state = tuple(a[~done] for a in state)
-
-
 def _rank_finish(w, z):
     """Zero the eigen-directions of each W that the complementarity
     indicator lambda(W) / (v^H Z v) puts clearly in the null space of W*
@@ -305,45 +261,71 @@ def solve_mc_covariances(channel_sets, tol=1e-6, max_iter=100_000):
     if m == 1:
         return [_matched_beamforming(h[0]) for h in hch]
 
-    ub = _dual_bound(hch, np.ones((k, m)))
-    w, z = np.tile(np.eye(n) / n + 0j, (k, 1, 1)), np.tile(np.eye(n) + 0j, (k, 1, 1))
+    # the path runs on the channels scaled to max_i |h_i|^2 = 1; objectives
+    # and bounds are evaluated on the input channels
+    scale = np.einsum("kij,kij->ki", hch, hch.conj()).real.max(axis=1)
+    h = hch / np.sqrt(scale)[:, None, None]
+    eye = np.eye(n)
+    # primal W = x_mat and (t, s) = x; dual y = (q, y_tr) with slacks
+    # z_mat = -sum_i q_i h_i h_i^H - y_tr I and z = (sum_i q_i - 1, q)
+    x_mat, x = np.tile(eye / n + 0j, (k, 1, 1)), np.full((k, m + 1), 1.0 / n)
+    z_mat, z = np.tile(eye + 0j, (k, 1, 1)), np.ones((k, m + 1))
+    iterate = (x_mat, x, np.zeros((k, m + 1)), z_mat, z, _duality_measure(x_mat, x, z_mat, z))
+    # per batch position: the last unit-trace W and Z, the best finished W
+    # and its objective, the best dual bound, Newton steps and the last mu
+    w_last, z_last = x_mat.copy(), z_mat.copy()
     w_out, obj_out = [None] * k, np.full(k, -np.inf)
+    ub = _dual_bound(hch, np.ones((k, m)))
     steps = np.zeros(k, dtype=int)
     mu_prev = np.full(k, np.inf)
-    path = _central_path(hch)
-    done = None
-    for _ in range(max_iter):
+    live = np.arange(k)  # batch positions of the members on the path
+    it = 0  # Newton steps each of them has taken
+    while live.size and it < max_iter:
+        done = np.zeros(live.size, dtype=bool)  # members that leave the path
         try:
-            idx, w_step, z_step, q, mu = path.send(done)
-        except StopIteration:
-            break  # every member ended
-        w[idx], z[idx] = w_step, z_step
-        h = hch[idx]
-        steps[idx] += 1
-        obj = _gains(h, w_step).min(axis=1)
-        ub_q = np.full(idx.size, np.inf)
-        has_q = q.sum(axis=1) > 0
-        if has_q.any():
-            ub_q[has_q] = _dual_bound(h[has_q], q[has_q])
-        ub_step = np.where(ub_q < ub[idx], ub_q, ub[idx])
-        ub[idx] = ub_step
-        done = np.zeros(idx.size, dtype=bool)
-        near = np.flatnonzero(ub_step - obj <= tol / 10)
-        if near.size:
-            w_fin, clear = _rank_finish(w_step[near], z_step[near])
-            obj_fin = _gains(h[near], w_fin).min(axis=1)
-            for j, wf, cl, of in zip(near, w_fin, clear, obj_fin):
-                i = idx[j]
-                if cl and ub_step[j] - of <= tol:
-                    w_out[i], done[j] = wf, True
-                    continue
-                if of > obj_out[i]:
-                    w_out[i], obj_out[i] = wf, of
-                # rounding error dominates the step: keep the best
-                done[j] = mu[j] >= mu_prev[i]
-        mu_prev[idx] = mu
+            iterate = _newton_step(h, *iterate)
+        except np.linalg.LinAlgError:
+            # a stacked factorization fails as a whole: the members whose own
+            # step breaks down leave the path, and the others take the step
+            # again without them; a failure no member repeats alone is raised
+            for j in range(live.size):
+                try:
+                    _newton_step(h[j:j + 1], *(a[j:j + 1] for a in iterate))
+                except np.linalg.LinAlgError:
+                    done[j] = True
+            if not done.any():
+                raise
+        else:
+            it += 1
+            x_mat, _, y, z_mat, _, mu = iterate
+            w = _unit_trace(x_mat)
+            w_last[live], z_last[live] = w, z_mat
+            steps[live] = it
+            h_in = hch[live]
+            obj = _gains(h_in, w).min(axis=1)
+            q = np.maximum(y[:, :m], 0.0)
+            ub_q = np.full(live.size, np.inf)
+            has_q = q.sum(axis=1) > 0
+            if has_q.any():
+                ub_q[has_q] = _dual_bound(h_in[has_q], q[has_q])
+            ub[live] = ub_l = np.where(ub_q < ub[live], ub_q, ub[live])
+            near = np.flatnonzero(ub_l - obj <= tol / 10)
+            if near.size:
+                w_fin, clear = _rank_finish(w[near], z_mat[near])
+                obj_fin = _gains(h_in[near], w_fin).min(axis=1)
+                for j, wf, cl, of in zip(near, w_fin, clear, obj_fin):
+                    i = live[j]
+                    if cl and ub_l[j] - of <= tol:
+                        w_out[i], done[j] = wf, True
+                        continue
+                    if of > obj_out[i]:
+                        w_out[i], obj_out[i] = wf, of
+                    # rounding error dominates the step: keep the best
+                    done[j] = mu[j] >= mu_prev[i]
+            mu_prev[live] = mu
+        live, h, iterate = live[~done], h[~done], tuple(a[~done] for a in iterate)
 
-    w_out = np.stack([wo if wo is not None else _rank_finish(w[i:i + 1], z[i:i + 1])[0][0]
+    w_out = np.stack([wo if wo is not None else _rank_finish(w_last[i:i + 1], z_last[i:i + 1])[0][0]
                       for i, wo in enumerate(w_out)])
     obj = _gains(hch, w_out).min(axis=1).tolist()
     return [McSolution(CovarianceMatrix(wo), ob, u, u - ob, st, u - ob <= tol)

@@ -193,16 +193,20 @@ class _SchemeOps:
         self.root, self.rank = psd_sqrt(w)
         self.n_antennas = w.shape[0]
         lam, v = np.linalg.eigh(w)
-        # Alamouti branch pair: top-2 eigenvectors, power split by
-        # eigenvalue, scaled so the two branch norms sum to 2
-        lam2 = np.clip(lam[-2:][::-1], 0.0, None)
-        tot = lam2.sum()
-        b1 = v[:, -1] * math.sqrt(2.0 * lam2[0] / tot)
-        b2 = v[:, -2] * math.sqrt(2.0 * lam2[1] / tot)
         # fixed weights, one row per branch, or else the sampler of a random law
-        self.fixed = {"principal": v[:, -1:].T, "bf_pair": np.stack([b1, b2])}.get(link.weights)
-        self.sampler = None
-        if self.fixed is None and link.weights is not None:
+        self.fixed = self.sampler = None
+        if link.weights == "principal":
+            self.fixed = v[:, -1:].T
+        elif link.weights == "bf_pair":
+            # Alamouti branch pair: top-2 eigenvectors, power split by
+            # eigenvalue, scaled so the two branch norms sum to 2; with one
+            # antenna the second branch is zero, as with a rank-1 W
+            lam2 = np.clip(lam[-2:][::-1], 0.0, None)
+            tot = lam2.sum()
+            b1 = v[:, -1] * math.sqrt(2.0 * lam2[0] / tot)
+            b2 = v[:, -2] * math.sqrt(2.0 * lam2[1] / tot) if len(lam) > 1 else np.zeros_like(b1)
+            self.fixed = np.stack([b1, b2])
+        elif link.weights is not None:
             self.sampler = WeightSampler.from_covariance(link.weights, w)
         if link.rank is not None and self.rank != link.rank:
             raise ValueError(
@@ -331,33 +335,22 @@ def _check_search_rows(n_rows):
 
 
 def _qostbc_searches(g, constellation, power):
-    """The pair tuples and the {s1, s4} and {s2, s3} searches for one
-    user's effective stream channel g = B^H h.
+    """One user's ML searches, as (symbol positions, tuples, search), for
+    the effective stream channel g = B^H h.
 
     The code's ML metric splits exactly into a term in the symbol pair
     {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun.,
     2001), so each pair is decided on its own over |C|^2 candidates."""
     pair_tuples = _all_tuples(2, constellation.size)
-    pts = constellation.points[pair_tuples]
-    zeros = np.zeros(len(pair_tuples), dtype=np.complex128)
-    s14 = np.stack([pts[:, 0], zeros, zeros, pts[:, 1]], axis=1)
-    s23 = np.stack([zeros, pts[:, 0], pts[:, 1], zeros], axis=1)
     gc = g.conj()
     sp = math.sqrt(power)
-    cand14 = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s14))
-    cand23 = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s23))
-    return pair_tuples, _CandidateSearch(cand14), _CandidateSearch(cand23)
-
-
-def _decode_qostbc(y_blocks, searches, out):
-    """Write the (B, 4) detected symbol indices of (B, 4) blocks, decided
-    by the searches of _qostbc_searches, into out; return out."""
-    pair_tuples, search14, search23 = searches
-    best14 = pair_tuples[search14.query(y_blocks)]
-    best23 = pair_tuples[search23.query(y_blocks)]
-    out[:, 0], out[:, 3] = best14[:, 0], best14[:, 1]
-    out[:, 1], out[:, 2] = best23[:, 0], best23[:, 1]
-    return out
+    searches = []
+    for pos in ([0, 3], [1, 2]):
+        s = np.zeros((len(pair_tuples), 4), dtype=np.complex128)
+        s[:, pos] = constellation.points[pair_tuples]
+        cand = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s))
+        searches.append((pos, pair_tuples, _CandidateSearch(cand)))
+    return searches
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +438,27 @@ def _encode_multiplexed(cfg, ops, bits, rng):
 
 
 def _tuple_searches(cfg, ops, h):
-    """The symbol tuples and one search per user over their |C|^d
-    noiseless received points."""
+    """Each user's one ML search, over the |C|^d noiseless received points
+    of the symbol tuples of a slot."""
     con = cfg.constellation
     _check_search_rows(h.shape[0] * con.size**ops.rank)
     g = h.conj() @ ops.root  # (M, d), row i = (B^H h_i)^*
     tuples = _all_tuples(ops.rank, con.size)
     sym = con.points[tuples]  # (K^d, d)
     sp = math.sqrt(cfg.power)
-    return tuples, [_CandidateSearch(sp * (sym @ gi)[:, None]) for gi in g]
+    return [[(slice(None), tuples, _CandidateSearch(sp * (sym @ gi)[:, None]))] for gi in g]
 
 
-def _detect_tuples(cfg, ops, h, y, info, rx, buf):
-    """Exhaustive ML search over the symbol tuples of each slot, user by
-    user, stacked into one (M, T, d) array."""
-    tuples, searches = rx
-    out = buf("tuples_idx", (len(searches), y.shape[1], ops.rank), np.int64)
-    for yi, search, oi in zip(y, searches, out):
-        oi[...] = tuples[search.query(yi[:, None])]
+def _detect_ml(cfg, ops, h, y, info, rx, buf):
+    """Exhaustive ML decisions of every user on each block of L slots: each
+    of the user's searches decides the symbols at its positions, stacked
+    into one (M, T / L, rank) array."""
+    blk = ops.link.block_length
+    out = buf("ml_idx", (len(rx), y.shape[1] // blk, ops.rank), np.int64)
+    for yi, searches, oi in zip(y, rx, out):
+        y_blocks = yi.reshape(-1, blk)
+        for pos, tuples, search in searches:
+            oi[:, pos] = tuples[search.query(y_blocks)]
     return out
 
 
@@ -476,19 +472,10 @@ def _encode_qostbc(cfg, ops, bits, rng):
 
 
 def _qostbc_user_searches(cfg, ops, h):
-    """Each user's pair searches, 2 |C|^2 candidate rows per user."""
+    """Each user's two pair searches, 2 |C|^2 candidate rows per user."""
     _check_search_rows(2 * h.shape[0] * cfg.constellation.size**2)
     g = ops.root.conj().T @ h.T  # (4, M), column i = B^H h_i
     return [_qostbc_searches(gi, cfg.constellation, cfg.power) for gi in g.T]
-
-
-def _detect_qostbc_blocks(cfg, ops, h, y, info, rx, buf):
-    """Pair-decoupled ML decisions on each user's 4-slot blocks, stacked
-    into one (M, T / 4, 4) array."""
-    out = buf("qostbc_idx", (len(rx), y.shape[1] // 4, 4), np.int64)
-    for yi, searches, oi in zip(y, rx, out):
-        _decode_qostbc(yi.reshape(-1, 4), searches, oi)
-    return out
 
 
 @dataclass(frozen=True)
@@ -509,10 +496,12 @@ class LinkScheme:
         work arrays and its result come from buf, the frame worker's
         _Buffers, so the result is valid until the worker's next frame.  It
         only queries rx and builds no search of its own.
-    receiver: (cfg, ops, h) -> rx, the read-only per-user search state,
-        built once per simulate_worst_user_ber call before the frame
-        threads start (one candidate tree per user per row, shared by the
-        threads), or None when detect needs no state (rx is then None).
+    receiver: (cfg, ops, h) -> rx, the read-only ML search state: per
+        user, a list of (symbol positions in a block, their tuples, the
+        _CandidateSearch that decides them).  It is built once per
+        simulate_worst_user_ber call before the frame threads start (the
+        threads share the candidate trees), or None when detect needs no
+        state (rx is then None).
     multiplexed: sends one symbol per stream of B in every slot.
     rank: covariance rank the code needs, or None for any.
     """
@@ -533,9 +522,9 @@ LINK_SCHEMES = {
     "bf_alamouti": LinkScheme(2, "bf_pair", _encode_weighted, _detect_weighted),
     "gauss_sbf_alamouti": LinkScheme(2, "gauss_sbf", _encode_weighted, _detect_weighted),
     "ellip_sbf_alamouti": LinkScheme(2, "ellip_sbf", _encode_weighted, _detect_weighted),
-    "precoded_sm": LinkScheme(1, None, _encode_multiplexed, _detect_tuples,
+    "precoded_sm": LinkScheme(1, None, _encode_multiplexed, _detect_ml,
                               receiver=_tuple_searches, multiplexed=True),
-    "precoded_qostbc": LinkScheme(4, None, _encode_qostbc, _detect_qostbc_blocks,
+    "precoded_qostbc": LinkScheme(4, None, _encode_qostbc, _detect_ml,
                                   receiver=_qostbc_user_searches, rank=4),
 }
 

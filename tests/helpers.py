@@ -90,8 +90,10 @@ def detect_qostbc(y_blocks, g, constellation, power):
 
     Returns (B, 4) detected symbol indices.
     """
-    return linksim._decode_qostbc(y_blocks, linksim._qostbc_searches(g, constellation, power),
-                                  np.empty((y_blocks.shape[0], 4), dtype=np.int64))
+    out = np.empty((y_blocks.shape[0], 4), dtype=np.int64)
+    for pos, tuples, search in linksim._qostbc_searches(g, constellation, power):
+        out[:, pos] = tuples[search.query(y_blocks)]
+    return out
 
 
 def _nearest_candidate(y, cand):

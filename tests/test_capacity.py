@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,17 @@ def assert_same_solution(got, ref):
         ref.objective, ref.upper_bound, ref.gap, ref.iterations, ref.converged)
 
 
+# SHA-256 over every field of the solutions of rates_sweep_draw(16, 0..5)
+# and rates_sweep_draw(32, 0..3), solved as two batches, by max_iter
+CAPPED_DIGESTS = {
+    1: "0a0768bf39f4cad29c3b9ec6bb5230014bc53388ad18294073ac9ee042832dba",
+    2: "8788347f5785602437083e2a4d860395c4b58c8981bb1830d5d36494b305423c",
+    3: "6b8e1cdbee6150675a0e00b0ca4632d559b0c1e45af4cec9e4ab18818bc5979a",
+    5: "86cf5fed8a1368359a7d0817b785b1ca4ffa46bea301631477e9ad90d778cc3a",
+    8: "05b1f0c271177448069fe30ddfb0bb00e672cb257ac2015dee95c0f2e39b196e",
+}
+
+
 class TestBatchedSolve:
     """A batch steps its members on one path; each member must end exactly
     as its own one-member solve does, whenever the others stop."""
@@ -202,6 +215,20 @@ class TestBatchedSolve:
         sols = self.check_batch([c for pair in zip(base, scaled) for c in pair])
         assert all(sol.converged for sol in sols[::2])
         assert not all(sol.converged for sol in sols[1::2])
+
+    @pytest.mark.parametrize("max_iter", sorted(CAPPED_DIGESTS))
+    def test_capped_batches_pinned(self, max_iter):
+        # members that end without a certificate, which no CLI digest covers
+        sols = (solve_mc_covariances([rates_sweep_draw(16, j) for j in range(6)], max_iter=max_iter)
+                + solve_mc_covariances([rates_sweep_draw(32, j) for j in range(4)],
+                                       max_iter=max_iter))
+        assert not any(sol.converged for sol in sols)
+        digest = hashlib.sha256()
+        for sol in sols:
+            digest.update(sol.covariance.entries.tobytes())
+            digest.update(repr((sol.objective, sol.upper_bound, sol.gap, sol.iterations,
+                                sol.converged)).encode())
+        assert digest.hexdigest() == CAPPED_DIGESTS[max_iter]
 
     def test_shapes_must_agree(self):
         with pytest.raises(ValueError):

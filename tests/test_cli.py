@@ -218,6 +218,21 @@ class TestBer:
         row = rows_of(outs[0])[1][0]
         assert (row["constellation"], row["bits"]) == ("qam16", "2880")
 
+    def test_single_antenna(self, tmp_path, capsys):
+        # with N = 1 every scheme that takes a rank-1 covariance runs (the
+        # fixed Alamouti pair gets a zero second branch), and the rank-4
+        # QOSTBC is refused as an input error
+        cfg = "n = 1\nm = 3\npower_db = 10\nconstellation = qpsk\nframe_length = 8\nn_frames = 2\n"
+        schemes = [s for s, link in linksim.LINK_SCHEMES.items() if link.rank is None]
+        code, text = run_cli(tmp_path, "ber", cfg + f"schemes = {', '.join(schemes)}\n")
+        assert code == 0
+        rows = rows_of(text)[1]
+        assert [r["scheme"] for r in rows] == schemes
+        assert all(r["status"] == "ok" for r in rows)
+        code, _ = run_cli(tmp_path, "ber", cfg + "schemes = precoded_qostbc\n", name="q.cfg")
+        assert code == 2
+        assert "needs a rank-4 covariance, got rank 1" in capsys.readouterr().err
+
     def test_rerun_and_workers_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SBF_THREADS", "1")
         _, a = run_cli(tmp_path, "ber", self.CFG)
