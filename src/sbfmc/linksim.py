@@ -31,9 +31,12 @@ def n_workers():
     """Worker cap from the SBF_THREADS environment variable (default 1)."""
     raw = os.environ.get("SBF_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ValueError(f"SBF_THREADS must be an integer, got {raw!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SBF_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def map_in_order(fn, n):
@@ -139,7 +142,7 @@ def bits_to_symbol_indices(bits, constellation):
 
 
 def _qostbc_encode_batch(s):
-    """(B, 4) symbols -> (B, 4, 4) code blocks."""
+    """(B, 4) symbols -> (B, 4, 4) code blocks, stream by slot."""
     s1, s2, s3, s4 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
     c = np.empty((s.shape[0], 4, 4), dtype=np.complex128)
     c[:, 0, 0], c[:, 0, 1], c[:, 0, 2], c[:, 0, 3] = s1, s2, s3, s4
@@ -149,6 +152,16 @@ def _qostbc_encode_batch(s):
     c[:, 2, 2], c[:, 2, 3] = np.conj(s1), np.conj(s2)
     c[:, 3, 0], c[:, 3, 1], c[:, 3, 2], c[:, 3, 3] = s4, -s3, -s2, s1
     return c
+
+
+def _qostbc_code(s):
+    """(B, 4) symbols -> (B, 4, 4) quasi-orthogonal blocks, slot by stream."""
+    return _qostbc_encode_batch(s).transpose(0, 2, 1)
+
+
+def _sm_code(s):
+    """(B, d) symbols -> (B, 1, d) one-slot blocks: symbol j on stream j."""
+    return s[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +205,17 @@ class _SchemeOps:
         w = cfg.covariance.entries
         self.root, self.rank = psd_sqrt(w)
         self.n_antennas = w.shape[0]
-        lam, v = np.linalg.eigh(w)
         # fixed weights, one row per branch, or else the sampler of a random law
         self.fixed = self.sampler = None
-        if link.weights == "principal":
-            self.fixed = v[:, -1:].T
-        elif link.weights == "bf_pair":
-            # Alamouti branch pair: top-2 eigenvectors, power split by
-            # eigenvalue, scaled so the two branch norms sum to 2; with one
-            # antenna the second branch is zero, as with a rank-1 W
-            lam2 = np.clip(lam[-2:][::-1], 0.0, None)
-            tot = lam2.sum()
-            b1 = v[:, -1] * math.sqrt(2.0 * lam2[0] / tot)
-            b2 = v[:, -2] * math.sqrt(2.0 * lam2[1] / tot) if len(lam) > 1 else np.zeros_like(b1)
-            self.fixed = np.stack([b1, b2])
+        if link.weights == "fixed":
+            # the top L eigenvectors of W, power split by eigenvalue so that
+            # the L branch norms sum to L (the factor is exactly 1 at L = 1);
+            # a branch past N or on a zero eigenvalue is zero
+            blk = link.block_length
+            lam, v = np.linalg.eigh(w)
+            top = np.clip(lam[::-1][:blk], 0.0, None)
+            self.fixed = np.zeros((blk, self.n_antennas), dtype=np.complex128)
+            self.fixed[:len(top)] = (v[:, ::-1][:, :blk] * np.sqrt(blk * top / top.sum())).T
         elif link.weights is not None:
             self.sampler = WeightSampler.from_covariance(link.weights, w)
         if link.rank is not None and self.rank != link.rank:
@@ -334,23 +344,35 @@ def _check_search_rows(n_rows):
         )
 
 
-def _qostbc_searches(g, constellation, power):
-    """One user's ML searches, as (symbol positions, tuples, search), for
-    the effective stream channel g = B^H h.
+def _code_groups(link, rank, constellation, n_users):
+    """Per ML search group of a precoded scheme: (symbol positions, their
+    |C|^k tuples, the (|C|^k L, rank) slot rows of the tuples' code blocks,
+    other symbols 0).  Refuses first if n_users users exceed the row guard."""
+    groups = link.groups or (tuple(range(rank)),)
+    _check_search_rows(n_users * sum(constellation.size ** len(pos) for pos in groups))
+    out = []
+    for pos in groups:
+        tuples = _all_tuples(len(pos), constellation.size)
+        s = np.zeros((len(tuples), rank), dtype=np.complex128)
+        s[:, pos] = constellation.points[tuples]
+        out.append((pos, tuples, link.code(s).reshape(-1, rank)))
+    return out
 
-    The code's ML metric splits exactly into a term in the symbol pair
-    {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun.,
-    2001), so each pair is decided on its own over |C|^2 candidates."""
-    pair_tuples = _all_tuples(2, constellation.size)
-    gc = g.conj()
-    sp = math.sqrt(power)
-    searches = []
-    for pos in ([0, 3], [1, 2]):
-        s = np.zeros((len(pair_tuples), 4), dtype=np.complex128)
-        s[:, pos] = constellation.points[pair_tuples]
-        cand = sp * np.einsum("j,bjt->bt", gc, _qostbc_encode_batch(s))
-        searches.append((pos, pair_tuples, _CandidateSearch(cand)))
-    return searches
+
+def _user_searches(groups, g, sp):
+    """One user's (symbol positions, tuples, search) per _code_groups group:
+    the candidates are the noiseless received blocks sp * (rows @ g), for
+    the stream gains g = h^H B and sp = sqrt(P), one row of L per tuple."""
+    return [(pos, tuples, _CandidateSearch(sp * (rows @ g).reshape(len(tuples), -1)))
+            for pos, tuples, rows in groups]
+
+
+def _precoded_searches(cfg, ops, h):
+    """Each user's ML searches: the code blocks are built once for all
+    users, and each user's candidates are one product with its gains."""
+    groups = _code_groups(ops.link, ops.rank, cfg.constellation, h.shape[0])
+    sp = math.sqrt(cfg.power)
+    return [_user_searches(groups, gi, sp) for gi in h.conj() @ ops.root]
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +380,11 @@ def _qostbc_searches(g, constellation, power):
 
 
 def frame_bit_count(cfg, ops):
-    """Payload bits per frame for a scheme configuration and its factors."""
-    bits = cfg.frame_length * cfg.constellation.bits_per_symbol
-    if ops.link.multiplexed:
-        bits *= ops.rank
-    return bits
+    """Payload bits per frame: T / L blocks of rank symbols each for a code
+    on the streams of B, of L symbols each otherwise."""
+    link = ops.link
+    per_block = link.block_length if link.code is None else ops.rank
+    return cfg.frame_length // link.block_length * per_block * cfg.constellation.bits_per_symbol
 
 
 def _encode_weighted(cfg, ops, bits, rng):
@@ -429,24 +451,14 @@ def _alamouti_statistics(y, gains, amp, buf):
     return z, scale
 
 
-def _encode_multiplexed(cfg, ops, bits, rng):
-    """One symbol per stream of the covariance root B in every slot."""
+def _encode_precoded(cfg, ops, bits, rng):
+    """The scheme's code on the streams of the covariance root B: each slot
+    of a block sends B times its row of stream symbols."""
     con = cfg.constellation
-    idx = bits_to_symbol_indices(bits, con).reshape(cfg.frame_length, ops.rank)
-    x = math.sqrt(cfg.power) * (ops.root @ con.points[idx].T)
+    idx = bits_to_symbol_indices(bits, con).reshape(-1, ops.rank)
+    slots = ops.link.code(con.points[idx]).reshape(-1, ops.rank)
+    x = math.sqrt(cfg.power) * (ops.root @ slots.T)
     return x, {"symbols": idx}
-
-
-def _tuple_searches(cfg, ops, h):
-    """Each user's one ML search, over the |C|^d noiseless received points
-    of the symbol tuples of a slot."""
-    con = cfg.constellation
-    _check_search_rows(h.shape[0] * con.size**ops.rank)
-    g = h.conj() @ ops.root  # (M, d), row i = (B^H h_i)^*
-    tuples = _all_tuples(ops.rank, con.size)
-    sym = con.points[tuples]  # (K^d, d)
-    sp = math.sqrt(cfg.power)
-    return [[(slice(None), tuples, _CandidateSearch(sp * (sym @ gi)[:, None]))] for gi in g]
 
 
 def _detect_ml(cfg, ops, h, y, info, rx, buf):
@@ -462,31 +474,15 @@ def _detect_ml(cfg, ops, h, y, info, rx, buf):
     return out
 
 
-def _encode_qostbc(cfg, ops, bits, rng):
-    """Quasi-orthogonal 4x4 blocks on the four streams of B."""
-    con = cfg.constellation
-    idx = bits_to_symbol_indices(bits, con).reshape(-1, 4)
-    blocks = _qostbc_encode_batch(con.points[idx])  # (B, 4, 4)
-    x = math.sqrt(cfg.power) * np.einsum("nj,bjt->nbt", ops.root, blocks)
-    return x.reshape(ops.n_antennas, cfg.frame_length), {"symbols": idx}
-
-
-def _qostbc_user_searches(cfg, ops, h):
-    """Each user's two pair searches, 2 |C|^2 candidate rows per user."""
-    _check_search_rows(2 * h.shape[0] * cfg.constellation.size**2)
-    g = ops.root.conj().T @ h.T  # (4, M), column i = B^H h_i
-    return [_qostbc_searches(gi, cfg.constellation, cfg.power) for gi in g.T]
-
-
 @dataclass(frozen=True)
 class LinkScheme:
     """How one scheme sends and detects: one entry of LINK_SCHEMES.
 
     block_length: slots per code block; frame lengths are multiples of it.
-    weights: the weight law.  "principal" (top eigenvector of W) and
-        "bf_pair" (the eigenvalue-split top-2 pair) are fixed; a
-        WeightSampler kind is redrawn per block; None precodes with the
-        covariance root B.
+    weights: the weight law.  "fixed" sends on the top block_length
+        eigenvectors of W, power split by eigenvalue; a WeightSampler kind
+        is redrawn per block; None codes on the streams of the covariance
+        root B.
     encode: (cfg, ops, bits, rng) -> the (N, T) transmit signal and the
         receiver-side info.  It draws only weights from rng (the caller
         draws payload bits before and noise after), so results reproduce.
@@ -502,7 +498,11 @@ class LinkScheme:
         simulate_worst_user_ber call before the frame threads start (the
         threads share the candidate trees), or None when detect needs no
         state (rx is then None).
-    multiplexed: sends one symbol per stream of B in every slot.
+    code: for weights None, the code on the streams of B: (B, rank) symbols
+        -> (B, L, rank) blocks, slot by stream (rank symbols per block).
+    groups: the symbol positions each ML search of a block decides (exact
+        when the ML metric splits into one term per group), or None for one
+        search over all rank positions.
     rank: covariance rank the code needs, or None for any.
     """
 
@@ -511,21 +511,25 @@ class LinkScheme:
     encode: object
     detect: object
     receiver: object = None
-    multiplexed: bool = False
+    code: object = None
+    groups: object = None
     rank: object = None
 
 
 LINK_SCHEMES = {
-    "bf": LinkScheme(1, "principal", _encode_weighted, _detect_weighted),
+    "bf": LinkScheme(1, "fixed", _encode_weighted, _detect_weighted),
     "gauss_sbf": LinkScheme(1, "gauss_sbf", _encode_weighted, _detect_weighted),
     "ellip_sbf": LinkScheme(1, "ellip_sbf", _encode_weighted, _detect_weighted),
-    "bf_alamouti": LinkScheme(2, "bf_pair", _encode_weighted, _detect_weighted),
+    "bf_alamouti": LinkScheme(2, "fixed", _encode_weighted, _detect_weighted),
     "gauss_sbf_alamouti": LinkScheme(2, "gauss_sbf", _encode_weighted, _detect_weighted),
     "ellip_sbf_alamouti": LinkScheme(2, "ellip_sbf", _encode_weighted, _detect_weighted),
-    "precoded_sm": LinkScheme(1, None, _encode_multiplexed, _detect_ml,
-                              receiver=_tuple_searches, multiplexed=True),
-    "precoded_qostbc": LinkScheme(4, None, _encode_qostbc, _detect_ml,
-                                  receiver=_qostbc_user_searches, rank=4),
+    "precoded_sm": LinkScheme(1, None, _encode_precoded, _detect_ml,
+                              receiver=_precoded_searches, code=_sm_code),
+    # the QOSTBC ML metric splits exactly into a term in the symbol pair
+    # {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun., 2001)
+    "precoded_qostbc": LinkScheme(4, None, _encode_precoded, _detect_ml,
+                                  receiver=_precoded_searches, code=_qostbc_code,
+                                  groups=((0, 3), (1, 2)), rank=4),
 }
 
 

@@ -48,13 +48,6 @@ def _e1_cf_scaled(x):
     return h
 
 
-def _e1_scaled(x):
-    """exp(x)*E1(x) for a float x > 0."""
-    if x <= 1.0:
-        return np.exp(x) * _e1_series(x)
-    return _e1_cf_scaled(x)
-
-
 def exp_e1_scaled(x):
     """exp(x) * E1(x) for a scalar x > 0, overflow-free for arbitrarily
     large x.
@@ -68,7 +61,9 @@ def exp_e1_scaled(x):
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"scaled E1 requires x > 0, got {x}")
-    return _e1_scaled(x)
+    if x <= 1.0:
+        return np.exp(x) * _e1_series(x)
+    return _e1_cf_scaled(x)
 
 
 def harmonic(n):

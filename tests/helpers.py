@@ -86,12 +86,14 @@ def detect_qostbc(y_blocks, g, constellation, power):
 
     The code's ML metric splits exactly into a term in the symbol pair
     {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun.,
-    2001), so each pair is decided on its own over |C|^2 candidates.
+    2001), so each pair is decided on its own over |C|^2 candidates, by
+    the searches the link simulator builds for one user.
 
     Returns (B, 4) detected symbol indices.
     """
+    groups = linksim._code_groups(linksim.LINK_SCHEMES["precoded_qostbc"], 4, constellation, 1)
     out = np.empty((y_blocks.shape[0], 4), dtype=np.int64)
-    for pos, tuples, search in linksim._qostbc_searches(g, constellation, power):
+    for pos, tuples, search in linksim._user_searches(groups, g.conj(), math.sqrt(power)):
         out[:, pos] = tuples[search.query(y_blocks)]
     return out
 

@@ -381,9 +381,10 @@ def test_non_finite_elliptic_beta_reports_input_error(tmp_path, capsys, scheme):
 @pytest.mark.parametrize("command, config", [("ber", TestBer.CFG), ("gaps", "power_db = 0, 10\n")])
 def test_malformed_sbf_threads_reports_input_error(tmp_path, monkeypatch, capsys, command, config):
     assert run_cli(tmp_path, command, config)[0] == 0
-    monkeypatch.setenv("SBF_THREADS", "abc")
-    assert run_cli(tmp_path, command, config, name="bad.cfg")[0] == 2
-    assert "SBF_THREADS" in capsys.readouterr().err
+    for threads in ("abc", "0", "-3"):  # not an integer, or fewer than one worker
+        monkeypatch.setenv("SBF_THREADS", threads)
+        assert run_cli(tmp_path, command, config, name="bad.cfg")[0] == 2, threads
+        assert "SBF_THREADS" in capsys.readouterr().err, threads
 
 
 def run_fresh(code, **env):

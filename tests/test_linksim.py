@@ -471,6 +471,23 @@ class TestBerSimulation:
         simulate_worst_user_ber(cfg, ch, n_frames, SeededStream(6, 9))
         assert built == [trees_per_user * 5]
 
+    @pytest.mark.parametrize("n_users", [2, 5])
+    def test_qostbc_pair_blocks_encoded_once_per_row(self, monkeypatch, n_users):
+        # QPSK pairs give 16 candidate blocks per group; a 288-slot frame
+        # encodes 72 blocks, so only the receiver's calls have 16 rows
+        encoded = []
+        encode = linksim._qostbc_encode_batch
+
+        def counting_encode(s):
+            encoded.append(len(s))
+            return encode(s)
+
+        monkeypatch.setattr(linksim, "_qostbc_encode_batch", counting_encode)
+        ch = sample_channel_set(4, n_users, SeededStream(6, 15))
+        cfg = SchemeConfig("precoded_qostbc", RANK4_COV, QPSK, 6.0, 288)
+        simulate_worst_user_ber(cfg, ch, 3, SeededStream(6, 16))
+        assert sorted(encoded) == [16, 16, 72, 72, 72]
+
     @pytest.mark.parametrize("scheme, n_users", [("precoded_sm", 65),
                                                  ("precoded_qostbc", 8193)])
     def test_search_row_guard_refuses_before_building(self, monkeypatch, scheme, n_users):
