@@ -221,24 +221,32 @@ def _verify_row(cfg, scheme, rank, p_db, row_idx):
     rng = stream.generator()
     entry = rates.RATE_SCHEMES[scheme]
     law = rates.gain_law_for_scheme(scheme, rank)
+    # the draws' one array: the target and the moments work in it in place
+    vals = law.sample(rng, cfg.n_samples)
     if entry.rate is None:
         # the phi check: the target is log t itself, with no power in it
         # (the quadrature nodes lie inside the panels, so t > 0 there)
         closed = law.log_moment()
-        target = np.log
         quad, _ = adaptive_gauss_legendre(
-            lambda t: target(t) * law.pdf(t), 0.0, truncation_point(law), tol=1e-10)
+            lambda t: np.log(t) * law.pdf(t), 0.0, truncation_point(law), tol=1e-10)
+        np.log(vals, out=vals)
     else:
         closed = entry.rate(rates.SchemeParams(rho, power, rank))
-        target = lambda t: np.log1p(rho * power * t)
         quad = rates.quadrature_rate_oracle(law, rho, power, tol=1e-10)
-    vals = target(law.sample(rng, cfg.n_samples))
+        np.multiply(vals, rho * power, out=vals)
+        np.log1p(vals, out=vals)
     if isinstance(law, PointMassGain):
         # every draw is the one value: the mean of equal values can round
         # off it, and the spread of that rounding is no standard error
         vals = vals[:1]
+    n = vals.size
     mc = float(vals.mean())
-    mc_se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    mc_se = 0.0
+    if n > 1:
+        # numpy's var(ddof=1), step for step, overwriting the draws
+        vals -= mc
+        vals *= vals
+        mc_se = math.sqrt(float(vals.sum()) / (n - 1)) / math.sqrt(n)
     quad_diff = abs(closed - quad)
     mc_dev = abs(closed - mc) / mc_se if mc_se > 0 else 0.0
     ok = quad_diff <= _QUAD_TOL and mc_dev <= _MC_SIGMAS

@@ -16,6 +16,11 @@ of the laws below (all unit mean except the point mass location):
 The three unbounded laws carry a scalar tail(t) = P(T > t), for t > 0,
 which sets the quadrature's truncation point; the laws' CDFs, which only
 the tests use, live in tests/helpers.py.
+
+Each sampler fills and returns one array of `size` draws and otherwise holds
+at most one block of CHUNK rows.  The blocks consume the generator in the
+order of one whole-array draw and repeat its arithmetic, so the returned
+bits are those of the whole-array expressions kept in tests/helpers.py.
 """
 
 import math
@@ -24,6 +29,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+
+# rows per block of a chunked draw
+CHUNK = 1 << 16
+
+
+def _chunks(size):
+    """Slices of 0..size that start at multiples of CHUNK; a lone last row
+    joins the slice before it, because a one-row matmul takes numpy's dot
+    path and rounds unlike the rows of a many-row matmul."""
+    start = 0
+    while start < size:
+        stop = start + CHUNK
+        if stop + 1 >= size:
+            stop = size
+        yield slice(start, stop)
+        start = stop
+
+
+def _beta_ratio(rng, rank, a, b, size):
+    """rank * g1 / (g1 + g2), g1 ~ Gamma(a) drawn whole, then g2 ~ Gamma(b)
+    drawn a block at a time and folded into g1 in place."""
+    g1 = rng.gamma(a, size=size)
+    for s in _chunks(size):
+        block = g1[s]
+        den = rng.gamma(b, size=block.size)
+        den += block
+        block *= rank
+        block /= den
+    return g1
 
 
 @dataclass(frozen=True)
@@ -74,9 +108,7 @@ class EllipticGain:
 
     def sample(self, rng, size):
         # Beta via the gamma ratio; exact for the integer shapes used here
-        g1 = rng.gamma(1.0, size=size)
-        g2 = rng.gamma(self.rank - 1.0, size=size)
-        return self.rank * g1 / (g1 + g2)
+        return _beta_ratio(rng, self.rank, 1.0, self.rank - 1.0, size)
 
 
 @dataclass(frozen=True)
@@ -94,7 +126,9 @@ class ChiSquare4Gain:
         return math.exp(-2.0 * t) * (1.0 + 2.0 * t)
 
     def sample(self, rng, size):
-        return 0.5 * rng.gamma(2.0, size=size)
+        t = rng.gamma(2.0, size=size)
+        t *= 0.5
+        return t
 
 
 @dataclass(frozen=True)
@@ -120,9 +154,7 @@ class EllipticAlamoutiGain:
         return np.where(inside, (2 * r - 1) * (2 * r - 2) / r * u * (1 - u) ** (2 * r - 3), 0.0)
 
     def sample(self, rng, size):
-        g1 = rng.gamma(2.0, size=size)
-        g2 = rng.gamma(2.0 * self.rank - 2.0, size=size)
-        return self.rank * g1 / (g1 + g2)
+        return _beta_ratio(rng, self.rank, 2.0, 2.0 * self.rank - 2.0, size)
 
 
 @dataclass(frozen=True)
@@ -154,8 +186,12 @@ class GammaGain:
         return float(specfun.harmonic(self.rank - 1)) - specfun.EULER_GAMMA - math.log(self.rank)
 
     def sample(self, rng, size):
-        zeta = rng.standard_exponential((size, self.rank))
-        return zeta @ np.full(self.rank, 1.0 / self.rank)
+        out = np.empty(size)
+        weights = np.full(self.rank, 1.0 / self.rank)
+        for s in _chunks(size):
+            block = out[s]
+            np.matmul(rng.standard_exponential((block.size, self.rank)), weights, out=block)
+        return out
 
 
 def elliptic_gain(rank):

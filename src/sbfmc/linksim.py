@@ -12,7 +12,6 @@ through independent noise.
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,9 @@ def map_in_order(fn, n):
     """[fn(0), ..., fn(n - 1)], on up to n_workers() threads when n > 1."""
     workers = min(n_workers(), n)
     if workers > 1:
+        # imported here, off the startup path
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(n)))
     return [fn(i) for i in range(n)]

@@ -5,8 +5,6 @@ Harmonic numbers are exact rationals (``fractions.Fraction``); everything
 else is float64.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 #: Euler-Mascheroni constant to double precision.
@@ -70,4 +68,6 @@ def harmonic(n):
     """Exact harmonic number H_n = sum_{k=1}^n 1/k (H_0 = 0)."""
     if n < 0:
         raise ValueError(f"harmonic number needs n >= 0, got {n}")
+    from fractions import Fraction  # imported here, off the startup path
+
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))

@@ -5,9 +5,12 @@
   QOSTBC encoders, one user's Alamouti combiner, QOSTBC pair detection and the
   one-shot nearest-candidate search as standalone calls, and the Monte Carlo
   per-user rate estimator.
-- Draws: i.i.d. CN(0, I_N) channel sets and exponential vectors.
+- Draws: i.i.d. CN(0, I_N) channel sets and exponential vectors, and a seed
+  that is a stable function of a test's key.
 - The CDF of each gain law, for the KS and histogram tests; the library
-  keeps only the tails that set its quadrature limits.
+  keeps only the tails that set its quadrature limits.  And each law's
+  sampler as one whole-array draw, whose bits the library's chunked
+  samplers keep.
 - The max-min covariance of one channel set, a batch of one.
 - The special functions and exact binomial identities behind the paper's
   rate algebra: the exponential integral E1, incomplete gamma at order 0
@@ -18,6 +21,7 @@
 """
 
 import math
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,6 +151,12 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream):
     return mean, np.sqrt(var / n_samples)
 
 
+def stable_seed(key):
+    """A 32-bit seed fixed by key's repr, the same in every process; the
+    built-in string hash changes with PYTHONHASHSEED."""
+    return zlib.crc32(repr(key).encode())
+
+
 def sample_channel_set(n, m, stream):
     """M i.i.d. CN(0, I_N) channel vectors."""
     if n < 1 or m < 1:
@@ -179,6 +189,29 @@ def gain_cdf(law, t):
     if isinstance(law, gainlaws.EllipticAlamoutiGain):
         return betainc(2.0, 2.0 * r - 2.0, np.clip(t, 0, r) / r)
     raise TypeError(f"no CDF for {law.name}")
+
+
+def whole_array_sample(law, rng, size):
+    """law.sample as one whole-array draw of `size`: the reference whose
+    bits the library's samplers, which draw in blocks of CHUNK rows, keep."""
+    if isinstance(law, gainlaws.PointMassGain):
+        return np.full(size, law.location)
+    if isinstance(law, gainlaws.ExponentialGain):
+        return rng.standard_exponential(size)
+    if isinstance(law, gainlaws.EllipticGain):
+        g1 = rng.gamma(1.0, size=size)
+        g2 = rng.gamma(law.rank - 1.0, size=size)
+        return law.rank * g1 / (g1 + g2)
+    if isinstance(law, gainlaws.ChiSquare4Gain):
+        return 0.5 * rng.gamma(2.0, size=size)
+    if isinstance(law, gainlaws.EllipticAlamoutiGain):
+        g1 = rng.gamma(2.0, size=size)
+        g2 = rng.gamma(2.0 * law.rank - 2.0, size=size)
+        return law.rank * g1 / (g1 + g2)
+    if isinstance(law, gainlaws.GammaGain):
+        zeta = rng.standard_exponential((size, law.rank))
+        return zeta @ np.full(law.rank, 1.0 / law.rank)
+    raise TypeError(f"no whole-array sampler for {law!r}")
 
 
 def _e1(x):

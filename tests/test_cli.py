@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,23 @@ class TestVerify:
         assert row["pass"] == "true"
         assert float(row["mc_estimate"]) == math.log1p(10.0)
         assert float(row["mc_stderr"]) == 0.0
+
+    @pytest.mark.parametrize("scheme", ["gauss_sbf", "ellip_sbf", "gauss_sbf_alamouti",
+                                        "ellip_sbf_alamouti", "bingham_phi"])
+    def test_row_holds_one_sample_array(self, scheme):
+        # a row's draws, target and moments share one array of n doubles;
+        # the rest is one block of CHUNK rows and the quadrature
+        n = 2 * 10**6
+        cfg = parse_config(f"n_samples = {n}\nrank = 3\nseed = 7\n")
+        rank = cfg.rank if rates.RATE_SCHEMES[scheme].uses_rank else 1
+        tracemalloc.start()
+        try:
+            row = cli._verify_row(cfg, scheme, rank, 10.0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row[-1]
+        assert peak <= 1.2 * 8 * n, peak / (8 * n)
 
     @pytest.mark.parametrize("rank", [150, 1000])
     def test_high_rank_rows_pass(self, tmp_path, rank):
@@ -403,6 +421,15 @@ def test_import_leaves_scipy_spatial_unloaded():
     # fresh interpreters on a 2-core x86 box
     code = ("import sys, sbfmc.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_import_leaves_thread_pool_and_fractions_unloaded():
+    # concurrent.futures (frame workers) and fractions (exact harmonic
+    # numbers) are imported where they are used, off the startup path
+    code = ("import sys, sbfmc.cli\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'fractions')))")
     assert run_fresh(code).strip() == "[]"
 
 

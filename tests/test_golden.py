@@ -30,20 +30,26 @@ BER_CFG = (
     "constellation = qam16\nframe_length = 72\nn_frames = 2\nseed = 1\n"
 )
 
-# later keys override earlier ones, so the shipped configs are reduced by
-# appending to them
+# case: (command, config text); later keys override earlier ones, so the
+# shipped configs are reduced by appending to them
 CLI_CASES = {
-    "ber": lambda: BER_CFG,
-    "gaps": lambda: (CONFIGS / "gaps.cfg").read_text(),
-    "verify": lambda: (CONFIGS / "verify.cfg").read_text() + "n_samples = 20000\n",
-    "rates": lambda: (CONFIGS / "rates_vs_users.cfg").read_text() + "n_realizations = 3\n",
-    "solve-cov": lambda: (CONFIGS / "solve_cov.cfg").read_text(),
+    "ber": ("ber", lambda: BER_CFG),
+    "gaps": ("gaps", lambda: (CONFIGS / "gaps.cfg").read_text()),
+    "verify": ("verify", lambda: (CONFIGS / "verify.cfg").read_text() + "n_samples = 20000\n"),
+    # 2 * CHUNK + 1 draws in 2^16-row blocks, the lone last row joined to
+    # the second block; the digest is that of whole-array draws
+    "verify_chunked": ("verify", lambda: (CONFIGS / "verify.cfg").read_text()
+                       + "n_samples = 131073\n"),
+    "rates": ("rates", lambda: (CONFIGS / "rates_vs_users.cfg").read_text()
+              + "n_realizations = 3\n"),
+    "solve-cov": ("solve-cov", lambda: (CONFIGS / "solve_cov.cfg").read_text()),
 }
 
 CLI_DIGESTS = {
     "ber": "8058093b4effdb87755e5d8a444ad24293d3c45de9d7f19182f6dca6eee400ac",
     "gaps": "3bceb5929946e718c4b038dc4e0e193c23866c4e05707674a114811282431eae",
     "verify": "217c4980d87f79f5ad2118040ec75e13c5d162031e69cebde30318f8c2aadb55",
+    "verify_chunked": "03d9af070b75d5f4532f8d0a6eeca6b022d3a1508d4dd2bf51be713f3c6d1aa7",
     "rates": "33d267c2c1b01e08e82e08771ba753894e5330931ef34261a9d33ab2a3c31f2d",
     "solve-cov": "3ec128528e77636d5253e84d20ebb028b3ec72e99244170125912bc043a09e0b",
 }
@@ -69,13 +75,14 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("command", sorted(CLI_CASES))
-def test_cli_csv_digest(tmp_path, command):
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_csv_digest(tmp_path, case):
+    command, config = CLI_CASES[case]
     cfg_path = tmp_path / "golden.cfg"
-    cfg_path.write_text(CLI_CASES[command]())
+    cfg_path.write_text(config())
     out_path = tmp_path / "out.csv"
     assert main([command, "--config", str(cfg_path), "--out", str(out_path)]) == 0
-    assert sha256(out_path.read_text()) == CLI_DIGESTS[command]
+    assert sha256(out_path.read_text()) == CLI_DIGESTS[case]
 
 
 def test_simulator_error_count_digest():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from sbfmc import gainlaws, rates, specfun
 from sbfmc.rates import SchemeParams
 
-from helpers import BinghamUserParams, rate_bingham_user
+from helpers import BinghamUserParams, rate_bingham_user, stable_seed
 from hypoexp import ExponentialMixture, phi_exp_mixture
 
 RNG = lambda tag: np.random.Generator(np.random.Philox(key=[815001, tag]))
@@ -155,7 +155,7 @@ class TestQuadratureOracle:
         # scale-free so each law is sampled once and reused
         for scheme, r in scheme_grid():
             law = rates.gain_law_for_scheme(scheme, r)
-            draws = law.sample(RNG(hash((scheme, r)) % 2**32), 10**6)
+            draws = law.sample(RNG(stable_seed((scheme, r))), 10**6)
             for rho in GRID_RHO:
                 for power in GRID_P:
                     vals = np.log1p(rho * power * draws)
