@@ -143,22 +143,17 @@ def bits_to_symbol_indices(bits, constellation):
 # space-time codes
 
 
-def _qostbc_encode_batch(s):
-    """(B, 4) symbols -> (B, 4, 4) code blocks, stream by slot."""
-    s1, s2, s3, s4 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    c = np.empty((s.shape[0], 4, 4), dtype=np.complex128)
-    c[:, 0, 0], c[:, 0, 1], c[:, 0, 2], c[:, 0, 3] = s1, s2, s3, s4
-    c[:, 1, 0], c[:, 1, 1] = -np.conj(s2), np.conj(s1)
-    c[:, 1, 2], c[:, 1, 3] = -np.conj(s4), np.conj(s3)
-    c[:, 2, 0], c[:, 2, 1] = -np.conj(s3), -np.conj(s4)
-    c[:, 2, 2], c[:, 2, 3] = np.conj(s1), np.conj(s2)
-    c[:, 3, 0], c[:, 3, 1], c[:, 3, 2], c[:, 3, 3] = s4, -s3, -s2, s1
-    return c
-
-
 def _qostbc_code(s):
     """(B, 4) symbols -> (B, 4, 4) quasi-orthogonal blocks, slot by stream."""
-    return _qostbc_encode_batch(s).transpose(0, 2, 1)
+    s1, s2, s3, s4 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+    c = np.empty((s.shape[0], 4, 4), dtype=np.complex128)
+    c[:, 0, 0], c[:, 1, 0], c[:, 2, 0], c[:, 3, 0] = s1, s2, s3, s4
+    c[:, 0, 1], c[:, 1, 1] = -np.conj(s2), np.conj(s1)
+    c[:, 2, 1], c[:, 3, 1] = -np.conj(s4), np.conj(s3)
+    c[:, 0, 2], c[:, 1, 2] = -np.conj(s3), -np.conj(s4)
+    c[:, 2, 2], c[:, 3, 2] = np.conj(s1), np.conj(s2)
+    c[:, 0, 3], c[:, 1, 3], c[:, 2, 3], c[:, 3, 3] = s4, -s3, -s2, s1
+    return c
 
 
 def _sm_code(s):
@@ -197,42 +192,6 @@ class SimResult:
     worst_user_ber: float
     bits_simulated: int
     worst_user_stderr: float
-
-
-class _SchemeOps:
-    """Factors of the covariance needed by each scheme, computed once."""
-
-    def __init__(self, cfg):
-        self.link = link = LINK_SCHEMES[cfg.scheme]
-        w = cfg.covariance.entries
-        self.root, self.rank = psd_sqrt(w)
-        self.n_antennas = w.shape[0]
-        # fixed weights, one row per branch, or else the sampler of a random law
-        self.fixed = self.sampler = None
-        if link.weights == "fixed":
-            # the top L eigenvectors of W, power split by eigenvalue so that
-            # the L branch norms sum to L (the factor is exactly 1 at L = 1);
-            # a branch past N or on a zero eigenvalue is zero
-            blk = link.block_length
-            lam, v = np.linalg.eigh(w)
-            top = np.clip(lam[::-1][:blk], 0.0, None)
-            self.fixed = np.zeros((blk, self.n_antennas), dtype=np.complex128)
-            self.fixed[:len(top)] = (v[:, ::-1][:, :blk] * np.sqrt(blk * top / top.sum())).T
-        elif link.weights is not None:
-            self.sampler = WeightSampler.from_covariance(link.weights, w)
-        if link.rank is not None and self.rank != link.rank:
-            raise ValueError(
-                f"{cfg.scheme} needs a rank-{link.rank} covariance, got rank {self.rank}"
-            )
-
-
-def _draw_weights(ops, rng, count):
-    """Per-branch (count, N) weights of the scheme's weight law."""
-    if ops.fixed is not None:
-        return tuple(np.repeat(b[None, :], count, axis=0) for b in ops.fixed)
-    if ops.link.block_length == 1:
-        return (ops.sampler.sample(rng, count),)
-    return ops.sampler.sample_pair(rng, count)
 
 
 class _Buffers:
@@ -346,72 +305,115 @@ def _check_search_rows(n_rows):
         )
 
 
-def _code_groups(link, rank, constellation, n_users):
-    """Per ML search group of a precoded scheme: (symbol positions, their
-    |C|^k tuples, the (|C|^k L, rank) slot rows of the tuples' code blocks,
-    other symbols 0).  Refuses first if n_users users exceed the row guard."""
+def _searches(link, rank, constellation, gains, sp):
+    """Every user's ML searches: per row g = h^H B of the (M, rank) stream
+    gains, one (positions, tuples, search) per group of symbol positions in
+    link.groups (one group of all rank positions when None).  tuples are
+    the group's |C|^k symbol-index tuples; search is the _CandidateSearch
+    over the noiseless received blocks sp * (rows @ g), where rows are the
+    (|C|^k L, rank) slot rows of the tuples' code blocks (other symbols 0)
+    and sp = sqrt(P).  The code blocks are built once for all users.
+    Refuses before any search is built if the users' candidate rows exceed
+    the row guard."""
     groups = link.groups or (tuple(range(rank)),)
-    _check_search_rows(n_users * sum(constellation.size ** len(pos) for pos in groups))
-    out = []
+    _check_search_rows(len(gains) * sum(constellation.size ** len(pos) for pos in groups))
+    blocks = []
     for pos in groups:
         tuples = _all_tuples(len(pos), constellation.size)
         s = np.zeros((len(tuples), rank), dtype=np.complex128)
         s[:, pos] = constellation.points[tuples]
-        out.append((pos, tuples, link.code(s).reshape(-1, rank)))
-    return out
+        blocks.append((pos, tuples, link.code(s).reshape(-1, rank)))
+    return [[(pos, tuples, _CandidateSearch(sp * (rows @ g).reshape(len(tuples), -1)))
+             for pos, tuples, rows in blocks] for g in gains]
 
 
-def _user_searches(groups, g, sp):
-    """One user's (symbol positions, tuples, search) per _code_groups group:
-    the candidates are the noiseless received blocks sp * (rows @ g), for
-    the stream gains g = h^H B and sp = sqrt(P), one row of L per tuple."""
-    return [(pos, tuples, _CandidateSearch(sp * (rows @ g).reshape(len(tuples), -1)))
-            for pos, tuples, rows in groups]
+class _RowState:
+    """One BER row's read-only state, built once before the frame threads
+    start and shared by them: cfg, the (M, N) channels h, the root B and
+    rank of the covariance (one psd_sqrt), the payload bits per frame
+    n_bits, and the scheme's frame steps, chosen here from whether its code
+    is None.  A weight law's encode draws through draw_weights; a code's
+    detect queries searches, every user's ML searches (see _searches).
 
+    encode(row, bits, rng) -> the (N, T) transmit signal and the
+    receiver-side info.  It draws only weights from rng (the caller draws
+    payload bits before and noise after), so results reproduce.
+    detect(row, y, info, buf) -> one (M, ...) array of every user's
+    detected symbol indices from the (M, T) received signal y, row i shaped
+    like info["symbols"] (or broadcast against it).  Its work arrays and
+    its result come from buf, the frame worker's _Buffers, so the result
+    is valid until the worker's next frame.
+    """
 
-def _precoded_searches(cfg, ops, h):
-    """Each user's ML searches: the code blocks are built once for all
-    users, and each user's candidates are one product with its gains."""
-    groups = _code_groups(ops.link, ops.rank, cfg.constellation, h.shape[0])
-    sp = math.sqrt(cfg.power)
-    return [_user_searches(groups, gi, sp) for gi in h.conj() @ ops.root]
+    def __init__(self, cfg, h):
+        self.cfg, self.h = cfg, h
+        self.link = link = LINK_SCHEMES[cfg.scheme]
+        w = cfg.covariance.entries
+        self.root, self.rank = psd_sqrt(w)
+        if link.rank is not None and self.rank != link.rank:
+            raise ValueError(
+                f"{cfg.scheme} needs a rank-{link.rank} covariance, got rank {self.rank}"
+            )
+        if h.shape[1] != w.shape[0]:
+            raise ValueError("channel/covariance dimension mismatch")
+        blk = link.block_length
+        self.fixed = self.sampler = self.searches = None
+        if link.code is None:
+            self.encode, self.detect = _encode_weighted, _detect_weighted
+            n_symbols = cfg.frame_length
+            if link.weights == "fixed":
+                # the top L eigenvectors of W, power split by eigenvalue so
+                # that the L branch norms sum to L (the factor is exactly 1
+                # at L = 1); a branch past N or on a zero eigenvalue is zero
+                lam, v = np.linalg.eigh(w)
+                top = np.clip(lam[::-1][:blk], 0.0, None)
+                self.fixed = np.zeros((blk, w.shape[0]), dtype=np.complex128)
+                self.fixed[:len(top)] = (v[:, ::-1][:, :blk] * np.sqrt(blk * top / top.sum())).T
+            else:
+                self.sampler = WeightSampler(link.weights, self.root, self.rank)
+        else:
+            self.encode, self.detect = _encode_precoded, _detect_ml
+            n_symbols = cfg.frame_length // blk * self.rank
+            self.searches = _searches(link, self.rank, cfg.constellation,
+                                      h.conj() @ self.root, math.sqrt(cfg.power))
+        self.n_bits = n_symbols * cfg.constellation.bits_per_symbol
+
+    def draw_weights(self, rng, count):
+        """Per-branch (count, N) weights of the scheme's weight law."""
+        if self.fixed is not None:
+            return tuple(np.repeat(b[None, :], count, axis=0) for b in self.fixed)
+        return self.sampler.sample(rng, count, self.link.block_length)
 
 
 # ---------------------------------------------------------------------------
 # frame pipeline
 
 
-def frame_bit_count(cfg, ops):
-    """Payload bits per frame: T / L blocks of rank symbols each for a code
-    on the streams of B, of L symbols each otherwise."""
-    link = ops.link
-    per_block = link.block_length if link.code is None else ops.rank
-    return cfg.frame_length // link.block_length * per_block * cfg.constellation.bits_per_symbol
-
-
-def _encode_weighted(cfg, ops, bits, rng):
+def _encode_weighted(row, bits, rng):
     """One symbol per slot on drawn weights, Alamouti-coded over two
     branches when the block is two slots long."""
+    cfg = row.cfg
     con = cfg.constellation
     idx = bits_to_symbol_indices(bits, con)
-    s = con.points[idx].reshape(-1, ops.link.block_length)
-    w = _draw_weights(ops, rng, s.shape[0])
+    s = con.points[idx].reshape(-1, row.link.block_length)
+    w = row.draw_weights(rng, s.shape[0])
     amp = math.sqrt(cfg.power / len(w))
     if len(w) == 1:
         x = amp * (w[0] * s).T
     else:
-        x = np.empty((ops.n_antennas, cfg.frame_length), dtype=np.complex128)
+        x = np.empty((row.root.shape[0], cfg.frame_length), dtype=np.complex128)
         x[:, 0::2] = amp * (w[0] * s[:, 0:1] + w[1] * s[:, 1:2]).T
         x[:, 1::2] = amp * (-w[0] * np.conj(s[:, 1:2]) + w[1] * np.conj(s[:, 0:1])).T
     return x, {"weights": w, "symbols": idx}
 
 
-def _detect_weighted(cfg, ops, h, y, info, rx, buf):
+def _detect_weighted(row, y, info, buf):
     """Scalar nearest point of every user's decision statistic after
     identity (one branch) or Alamouti (two branches) combining, all M users
     in one pass."""
     weights = info["weights"]
-    amp = math.sqrt(cfg.power / len(weights))
+    amp = math.sqrt(row.cfg.power / len(weights))
+    h = row.h
     hc_t = h.conj().T
     # per-branch gains w @ h^H, (blocks, M), each read as its (M, blocks) view
     gains = [np.matmul(w, hc_t, out=buf(f"gain{b}", (len(w), h.shape[0]), np.complex128)).T
@@ -420,7 +422,7 @@ def _detect_weighted(cfg, ops, h, y, info, rx, buf):
         z, scale = y, np.multiply(amp, gains[0], out=buf("scale", y.shape, np.complex128))
     else:
         z, scale = _alamouti_statistics(y, gains, amp, buf)
-    return _nearest_point(z, scale, cfg.constellation, buf)
+    return _nearest_point(z, scale, row.cfg.constellation, buf)
 
 
 def _alamouti_statistics(y, gains, amp, buf):
@@ -453,23 +455,23 @@ def _alamouti_statistics(y, gains, amp, buf):
     return z, scale
 
 
-def _encode_precoded(cfg, ops, bits, rng):
+def _encode_precoded(row, bits, rng):
     """The scheme's code on the streams of the covariance root B: each slot
     of a block sends B times its row of stream symbols."""
-    con = cfg.constellation
-    idx = bits_to_symbol_indices(bits, con).reshape(-1, ops.rank)
-    slots = ops.link.code(con.points[idx]).reshape(-1, ops.rank)
-    x = math.sqrt(cfg.power) * (ops.root @ slots.T)
+    con = row.cfg.constellation
+    idx = bits_to_symbol_indices(bits, con).reshape(-1, row.rank)
+    slots = row.link.code(con.points[idx]).reshape(-1, row.rank)
+    x = math.sqrt(row.cfg.power) * (row.root @ slots.T)
     return x, {"symbols": idx}
 
 
-def _detect_ml(cfg, ops, h, y, info, rx, buf):
+def _detect_ml(row, y, info, buf):
     """Exhaustive ML decisions of every user on each block of L slots: each
     of the user's searches decides the symbols at its positions, stacked
     into one (M, T / L, rank) array."""
-    blk = ops.link.block_length
-    out = buf("ml_idx", (len(rx), y.shape[1] // blk, ops.rank), np.int64)
-    for yi, searches, oi in zip(y, rx, out):
+    blk = row.link.block_length
+    out = buf("ml_idx", (len(row.searches), y.shape[1] // blk, row.rank), np.int64)
+    for yi, searches, oi in zip(y, row.searches, out):
         y_blocks = yi.reshape(-1, blk)
         for pos, tuples, search in searches:
             oi[:, pos] = tuples[search.query(y_blocks)]
@@ -478,75 +480,57 @@ def _detect_ml(cfg, ops, h, y, info, rx, buf):
 
 @dataclass(frozen=True)
 class LinkScheme:
-    """How one scheme sends and detects: one entry of LINK_SCHEMES.
+    """How one scheme sends: one entry of LINK_SCHEMES, data only.  A
+    scheme names either a weight law or a code, and _RowState picks the
+    frame steps from which.
 
-    block_length: slots per code block; frame lengths are multiples of it.
-    weights: the weight law.  "fixed" sends on the top block_length
-        eigenvectors of W, power split by eigenvalue; a WeightSampler kind
-        is redrawn per block; None codes on the streams of the covariance
-        root B.
-    encode: (cfg, ops, bits, rng) -> the (N, T) transmit signal and the
-        receiver-side info.  It draws only weights from rng (the caller
-        draws payload bits before and noise after), so results reproduce.
-    detect: (cfg, ops, h, y, info, rx, buf) -> one (M, ...) array of every
-        user's detected symbol indices from the (M, T) received signal y,
-        row i shaped like info["symbols"] (or broadcast against it).  Its
-        work arrays and its result come from buf, the frame worker's
-        _Buffers, so the result is valid until the worker's next frame.  It
-        only queries rx and builds no search of its own.
-    receiver: (cfg, ops, h) -> rx, the read-only ML search state: per
-        user, a list of (symbol positions in a block, their tuples, the
-        _CandidateSearch that decides them).  It is built once per
-        simulate_worst_user_ber call before the frame threads start (the
-        threads share the candidate trees), or None when detect needs no
-        state (rx is then None).
-    code: for weights None, the code on the streams of B: (B, rank) symbols
-        -> (B, L, rank) blocks, slot by stream (rank symbols per block).
-    groups: the symbol positions each ML search of a block decides (exact
-        when the ML metric splits into one term per group), or None for one
-        search over all rank positions.
-    rank: covariance rank the code needs, or None for any.
+    block_length: slots per code block; frame lengths are multiples of it
+        (1, or 2 for the Alamouti pair, for a weight law).
+    weights: the weight law, redrawn per block: "fixed" sends on the top
+        block_length eigenvectors of W, power split by eigenvalue; a
+        WeightSampler kind draws one weight per branch.  None for a code.
+    code: the code on the streams of the covariance root B: (B, rank)
+        symbols -> (B, L, rank) blocks, slot by stream (rank symbols per
+        block).  None for a weight law.
+    groups: for a code, the symbol positions each ML search of a block
+        decides (exact when the ML metric splits into one term per group),
+        or None for one search over all rank positions.
+    rank: for a code, the covariance rank it needs, or None for any.
     """
 
     block_length: int
     weights: object
-    encode: object
-    detect: object
-    receiver: object = None
     code: object = None
     groups: object = None
     rank: object = None
 
 
 LINK_SCHEMES = {
-    "bf": LinkScheme(1, "fixed", _encode_weighted, _detect_weighted),
-    "gauss_sbf": LinkScheme(1, "gauss_sbf", _encode_weighted, _detect_weighted),
-    "ellip_sbf": LinkScheme(1, "ellip_sbf", _encode_weighted, _detect_weighted),
-    "bf_alamouti": LinkScheme(2, "fixed", _encode_weighted, _detect_weighted),
-    "gauss_sbf_alamouti": LinkScheme(2, "gauss_sbf", _encode_weighted, _detect_weighted),
-    "ellip_sbf_alamouti": LinkScheme(2, "ellip_sbf", _encode_weighted, _detect_weighted),
-    "precoded_sm": LinkScheme(1, None, _encode_precoded, _detect_ml,
-                              receiver=_precoded_searches, code=_sm_code),
+    "bf": LinkScheme(1, "fixed"),
+    "gauss_sbf": LinkScheme(1, "gauss_sbf"),
+    "ellip_sbf": LinkScheme(1, "ellip_sbf"),
+    "bf_alamouti": LinkScheme(2, "fixed"),
+    "gauss_sbf_alamouti": LinkScheme(2, "gauss_sbf"),
+    "ellip_sbf_alamouti": LinkScheme(2, "ellip_sbf"),
+    "precoded_sm": LinkScheme(1, None, code=_sm_code),
     # the QOSTBC ML metric splits exactly into a term in the symbol pair
     # {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun., 2001)
-    "precoded_qostbc": LinkScheme(4, None, _encode_precoded, _detect_ml,
-                                  receiver=_precoded_searches, code=_qostbc_code,
-                                  groups=((0, 3), (1, 2)), rank=4),
+    "precoded_qostbc": LinkScheme(4, None, code=_qostbc_code, groups=((0, 3), (1, 2)), rank=4),
 }
 
 
-def _simulate_one_frame(cfg, ops, ch, rx, rng, buf):
+def _simulate_one_frame(row, rng, buf):
     """(M,) bit error counts of one frame, worked out in the (M, T) arrays
     of the frame worker's buffers buf."""
-    bits = rng.integers(0, 2, frame_bit_count(cfg, ops), dtype=np.uint8)
-    x, info = ops.link.encode(cfg, ops, bits, rng)
-    h = ch.channels
-    shape = (h.shape[0], cfg.frame_length)
+    bits = rng.integers(0, 2, row.n_bits, dtype=np.uint8)
+    x, info = row.encode(row, bits, rng)
+    h = row.h
+    shape = (h.shape[0], row.cfg.frame_length)
     # noise first: the other order measured ~0.6 ms slower per M = 16, T = 1440 frame
     noise = fill_randn_complex(rng, buf("noise", shape, np.complex128), buf("normals", (2, *shape)))
     y = np.matmul(h.conj(), x, out=buf("y", shape, np.complex128))
     y += noise
-    detected = ops.link.detect(cfg, ops, h, y, info, rx, buf)
+    detected = row.detect(row, y, info, buf)
     # differing bits of every user's indices against the sent ones, in place
     diff = np.bitwise_xor(detected, info["symbols"], out=detected)
     ones = np.bitwise_count(diff, out=buf("ones", detected.shape, np.uint8))
@@ -564,26 +548,19 @@ def simulate_worst_user_ber(cfg, ch, n_frames, stream):
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    ops = _SchemeOps(cfg)
-    if ch.n_antennas != ops.n_antennas:
-        raise ValueError("channel/covariance dimension mismatch")
-    n_bits = frame_bit_count(cfg, ops)
-    receiver = ops.link.receiver
-    rx = None if receiver is None else receiver(cfg, ops, ch.channels)
-
+    row = _RowState(cfg, ch.channels)
     workers = min(n_workers(), n_frames)
 
     def run(worker):
         buf = _Buffers()
         errors = np.zeros(ch.channels.shape[0], dtype=np.int64)
         for frame_idx in range(worker, n_frames, workers):
-            errors += _simulate_one_frame(cfg, ops, ch, rx, stream.substream(frame_idx), buf)
+            errors += _simulate_one_frame(row, stream.substream(frame_idx), buf)
         return errors
 
     errors = np.sum(map_in_order(run, workers), axis=0)
-    total_bits = n_bits * n_frames
+    total_bits = row.n_bits * n_frames
     ber = errors / total_bits
     worst = float(ber.max())
     stderr = math.sqrt(max(worst * (1.0 - worst), 0.0) / total_bits)
     return SimResult(ber, worst, total_bits, stderr)
-

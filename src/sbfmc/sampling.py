@@ -73,10 +73,6 @@ class ChannelSet:
         if np.any(np.all(h == 0, axis=1)):
             raise ValueError("all-zero channel")
 
-    @property
-    def n_antennas(self):
-        return self.channels.shape[1]
-
 
 def psd_sqrt(w, rank_tol=RANK_TOL):
     """Square-root factor B (N x r) with B B^H = W and r the numerical rank.
@@ -111,32 +107,24 @@ class WeightSampler:
     root: np.ndarray
     rank: int
 
-    @classmethod
-    def from_covariance(cls, scheme, w):
-        if scheme not in ("gauss_sbf", "ellip_sbf"):
-            raise ValueError(f"unsupported weight scheme {scheme!r}")
-        b, r = psd_sqrt(w)
-        return cls(scheme, b, r)
+    def __post_init__(self):
+        if self.scheme not in ("gauss_sbf", "ellip_sbf"):
+            raise ValueError(f"unsupported weight scheme {self.scheme!r}")
 
-    def sample(self, rng, size):
-        """A (size, N) block of weight vectors."""
-        g = randn_complex(rng, size, self.rank)
-        if self.scheme == "ellip_sbf":
-            g = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(self.rank)
-        return g @ self.root.T
+    def sample(self, rng, size, branches):
+        """A tuple of branches (size, N) weight blocks, one per branch of a
+        block code (two for the Alamouti-coded schemes).
 
-    def sample_pair(self, rng, size):
-        """(size, N) weight pair (w1, w2) for the Alamouti-coded schemes.
-
-        Gaussian pairs are independent draws.  Ellipsoid pairs are drawn
-        jointly, one uniform vector on the sphere in dimension 2r split
-        across the two branches: this is the construction under which the
-        combined gain (|h^H w1|^2 + |h^H w2|^2)/(2 rho) follows the
-        r * Beta(2, 2r-2) law of the closed-form rate (two independent
-        sphere draws do not).
+        Each row draws branches * r complex normals, split across the
+        branches r columns each.  Gaussian branches are thus independent
+        draws.  Ellipsoid branches are drawn jointly, one uniform vector on
+        the sphere in dimension branches * r: this is the construction under
+        which the two-branch combined gain (|h^H w1|^2 + |h^H w2|^2)/(2 rho)
+        follows the r * Beta(2, 2r-2) law of the closed-form rate (two
+        independent sphere draws do not).
         """
-        g = randn_complex(rng, size, 2 * self.rank)
+        r = self.rank
+        g = randn_complex(rng, size, branches * r)
         if self.scheme == "ellip_sbf":
-            g = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(2 * self.rank)
-        return g[:, : self.rank] @ self.root.T, g[:, self.rank :] @ self.root.T
-
+            g = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(branches * r)
+        return tuple(g[:, k * r:(k + 1) * r] @ self.root.T for k in range(branches))

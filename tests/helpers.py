@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import betainc, gammainc
 
 from sbfmc import capacity, gainlaws, linksim, specfun
-from sbfmc.sampling import ChannelSet, SeededStream, randn_complex
+from sbfmc.sampling import ChannelSet, SeededStream, WeightSampler, psd_sqrt, randn_complex
 from sbfmc.specfun import EULER_GAMMA, harmonic
 
 from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
@@ -79,7 +79,7 @@ def qostbc_encode(s):
     s = np.asarray(s, dtype=np.complex128)
     if s.shape != (4,):
         raise ValueError("qostbc_encode needs exactly 4 symbols")
-    return linksim._qostbc_encode_batch(s[None, :])[0]
+    return linksim._qostbc_code(s[None, :])[0].T
 
 
 def detect_qostbc(y_blocks, g, constellation, power):
@@ -95,9 +95,10 @@ def detect_qostbc(y_blocks, g, constellation, power):
 
     Returns (B, 4) detected symbol indices.
     """
-    groups = linksim._code_groups(linksim.LINK_SCHEMES["precoded_qostbc"], 4, constellation, 1)
+    searches = linksim._searches(linksim.LINK_SCHEMES["precoded_qostbc"], 4, constellation,
+                                 g.conj()[None, :], math.sqrt(power))[0]
     out = np.empty((y_blocks.shape[0], 4), dtype=np.int64)
-    for pos, tuples, search in linksim._user_searches(groups, g.conj(), math.sqrt(power)):
+    for pos, tuples, search in searches:
         out[:, pos] = tuples[search.query(y_blocks)]
     return out
 
@@ -129,11 +130,11 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream):
         raise ValueError(f"no rate estimator for scheme {cfg.scheme!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    ops = linksim._SchemeOps(cfg)
     h = ch.channels
+    row = linksim._RowState(cfg, h)
     p = cfg.power
-    if ops.fixed is not None:
-        rate = np.log1p(p * _mean_branch_gain(linksim._draw_weights(ops, None, 1), h)[0])
+    if row.fixed is not None:
+        rate = np.log1p(p * _mean_branch_gain(row.draw_weights(None, 1), h)[0])
         return rate, np.zeros_like(rate)
     rng = stream.generator()
     m = h.shape[0]
@@ -142,13 +143,18 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream):
     done = 0
     while done < n_samples:
         n = min(_MC_CHUNK, n_samples - done)
-        vals = np.log1p(p * _mean_branch_gain(linksim._draw_weights(ops, rng, n), h))
+        vals = np.log1p(p * _mean_branch_gain(row.draw_weights(rng, n), h))
         acc += vals.sum(axis=0)
         acc2 += (vals**2).sum(axis=0)
         done += n
     mean = acc / n_samples
     var = np.maximum(acc2 / n_samples - mean**2, 0.0)
     return mean, np.sqrt(var / n_samples)
+
+
+def weight_sampler(scheme, w):
+    """The WeightSampler of a weight law on the covariance w."""
+    return WeightSampler(scheme, *psd_sqrt(w))
 
 
 def stable_seed(key):
@@ -241,12 +247,17 @@ def exp_integral_e1(x):
 
 def transmit_frame(cfg, bits, stream):
     """Encode one frame of payload bits into the (N, T) transmit signal."""
-    ops = linksim._SchemeOps(cfg)
+    row = transmit_row(cfg)
     bits = np.asarray(bits)
-    expected = linksim.frame_bit_count(cfg, ops)
-    if bits.size != expected:
-        raise ValueError(f"expected {expected} bits, got {bits.size}")
-    return ops.link.encode(cfg, ops, bits, stream.generator())[0]
+    if bits.size != row.n_bits:
+        raise ValueError(f"expected {row.n_bits} bits, got {bits.size}")
+    return row.encode(row, bits, stream.generator())[0]
+
+
+def transmit_row(cfg):
+    """cfg's BER row state on one all-ones user channel: the transmit side
+    (bits per frame, encoder, weights) does not depend on the channel."""
+    return linksim._RowState(cfg, np.ones((1, cfg.covariance.entries.shape[0]), dtype=complex))
 
 
 def sample_exponential_vector(r, stream_or_rng, size=None):

@@ -22,11 +22,11 @@ from sbfmc.capacity import CovarianceMatrix
 from sbfmc.linksim import SchemeConfig, make_constellation
 from sbfmc.quadrature import adaptive_gauss_legendre
 from sbfmc.rates import SchemeParams
-from sbfmc.sampling import SeededStream, WeightSampler
+from sbfmc.sampling import SeededStream
 
 from helpers import (BinghamUserParams, alt_binom_over_k, binom_id_shift2, binom_id_shift2_sq,
                      detect_qostbc, gain_cdf, rate_bingham_user, sample_channel_set,
-                     sample_exponential_vector, solve_mc_covariance)
+                     sample_exponential_vector, solve_mc_covariance, weight_sampler)
 from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
 
 QPSK = make_constellation("qpsk")
@@ -179,13 +179,13 @@ def test_criterion_07_sampler_fidelity():
     ]
     two_sample = []
     for i, (scheme, law, is_pair) in enumerate(pairs):
-        ws = WeightSampler.from_covariance(scheme, w)
+        ws = weight_sampler(scheme, w)
         gen = SeededStream(707, 100 + i).generator()
         if is_pair:
-            w1, w2 = ws.sample_pair(gen, n)
+            w1, w2 = ws.sample(gen, n, 2)
             induced = (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2) / (2 * rho)
         else:
-            induced = np.abs(ws.sample(gen, n) @ h.conj()) ** 2 / rho
+            induced = np.abs(ws.sample(gen, n, 1)[0] @ h.conj()) ** 2 / rho
         direct = law.sample(SeededStream(707, 200 + i).generator(), n)
         two_sample.append(ks_2samp(induced, direct).statistic)
     ok &= all(s <= crit2 for s in two_sample)
@@ -206,24 +206,24 @@ def test_criterion_08_monte_carlo_rate_closure():
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         return abs(vals.mean() - closed) / se
 
-    gauss = WeightSampler.from_covariance("gauss_sbf", w)
-    ellip = WeightSampler.from_covariance("ellip_sbf", w)
-    draws = gauss.sample(SeededStream(808, 0).generator(), n)
+    gauss = weight_sampler("gauss_sbf", w)
+    ellip = weight_sampler("ellip_sbf", w)
+    draws = gauss.sample(SeededStream(808, 0).generator(), n, 1)[0]
     devs["gauss_sbf"] = mc_dev(
         np.log1p(power * np.abs(draws @ h.conj()) ** 2),
         rates.rate_sbf_gauss(SchemeParams(rho, power, rank)),
     )
-    draws = ellip.sample(SeededStream(808, 1).generator(), n)
+    draws = ellip.sample(SeededStream(808, 1).generator(), n, 1)[0]
     devs["ellip_sbf"] = mc_dev(
         np.log1p(power * np.abs(draws @ h.conj()) ** 2),
         rates.rate_sbf_ellip(SchemeParams(rho, power, rank)),
     )
-    w1, w2 = gauss.sample_pair(SeededStream(808, 2).generator(), n)
+    w1, w2 = gauss.sample(SeededStream(808, 2).generator(), n, 2)
     xi = 0.5 * (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2)
     devs["gauss_sbf_alamouti"] = mc_dev(
         np.log1p(power * xi), rates.rate_sbf_alam_gauss(SchemeParams(rho, power, rank))
     )
-    w1, w2 = ellip.sample_pair(SeededStream(808, 3).generator(), n)
+    w1, w2 = ellip.sample(SeededStream(808, 3).generator(), n, 2)
     xi = 0.5 * (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2)
     devs["ellip_sbf_alamouti"] = mc_dev(
         np.log1p(power * xi), rates.rate_sbf_alam_ellip(SchemeParams(rho, power, rank))
@@ -309,11 +309,11 @@ def test_criterion_10_link_simulator():
     rng = SeededStream(1010, 2).generator()
     g = sampling.randn_complex(rng, 4)
     tuples = rng.integers(0, 2, (10**4, 4))
-    blocks = linksim._qostbc_encode_batch(BPSK.points[tuples])
+    blocks = linksim._qostbc_code(BPSK.points[tuples]).transpose(0, 2, 1)
     y = np.einsum("j,bjt->bt", g.conj(), blocks) + sampling.randn_complex(rng, 10**4, 4)
     all_tuples = linksim._all_tuples(4, BPSK.size)
     cand = np.einsum("j,bjt->bt", g.conj(),
-                     linksim._qostbc_encode_batch(BPSK.points[all_tuples]))
+                     linksim._qostbc_code(BPSK.points[all_tuples]).transpose(0, 2, 1))
     dist = (np.abs(y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
     det_full = all_tuples[np.argmin(dist, axis=1)]
     mismatches = int(np.sum(detect_qostbc(y, g, BPSK, 1.0) != det_full))

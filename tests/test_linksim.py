@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from sbfmc.linksim import (
     Constellation,
     SchemeConfig,
     bits_to_symbol_indices,
-    frame_bit_count,
     make_constellation,
     simulate_worst_user_ber,
 )
@@ -19,7 +19,8 @@ from sbfmc.sampling import ChannelSet, SeededStream
 
 from helpers import (_nearest_candidate, alamouti_combine, alamouti_encode, count_bit_errors,
                      detect_qostbc, estimate_user_rates_mc, gain_cdf, gray_adjacency_ok,
-                     qostbc_encode, sample_channel_set, solve_mc_covariance, transmit_frame)
+                     qostbc_encode, sample_channel_set, solve_mc_covariance, transmit_frame,
+                     transmit_row, weight_sampler)
 
 SCHEMES = tuple(linksim.LINK_SCHEMES)
 QPSK = make_constellation("qpsk")
@@ -158,9 +159,9 @@ class TestAlamouti:
     def test_pair_gain_law_chi4(self):
         # gains from Gaussian weight pairs follow 4 t e^{-2t}
         w = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
-        ws = sampling.WeightSampler.from_covariance("gauss_sbf", w)
+        ws = weight_sampler("gauss_sbf", w)
         rng = SeededStream(2, 2).generator()
-        w1, w2 = ws.sample_pair(rng, 10**5)
+        w1, w2 = ws.sample(rng, 10**5, 2)
         h = sampling.randn_complex(rng, 4)
         rho = float(np.real(h.conj() @ w @ h))
         xi = (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2) / (2 * rho)
@@ -206,7 +207,7 @@ class TestQostbc:
         g = sampling.randn_complex(rng, 4)
         n_blocks = 10**4
         tuples = rng.integers(0, 2, (n_blocks, 4))
-        blocks = linksim._qostbc_encode_batch(BPSK.points[tuples])
+        blocks = linksim._qostbc_code(BPSK.points[tuples]).transpose(0, 2, 1)
         power = 10 ** (0.2)
         y = math.sqrt(power) * np.einsum("j,bjt->bt", g.conj(), blocks)
         y = y + sampling.randn_complex(rng, n_blocks, 4)
@@ -218,7 +219,7 @@ class TestQostbc:
         rng = SeededStream(3, 4).generator()
         g = sampling.randn_complex(rng, 4)
         tuples = rng.integers(0, 4, (2000, 4))
-        blocks = linksim._qostbc_encode_batch(QPSK.points[tuples])
+        blocks = linksim._qostbc_code(QPSK.points[tuples]).transpose(0, 2, 1)
         y = np.einsum("j,bjt->bt", g.conj(), blocks) + sampling.randn_complex(
             rng, 2000, 4
         )
@@ -240,7 +241,7 @@ class TestQostbc:
         for power_db in (10.0, 16.0, 22.0):
             power = 10 ** (power_db / 10)
             tuples = rng.integers(0, QAM16.size, (3000, 4))
-            blocks = linksim._qostbc_encode_batch(QAM16.points[tuples])
+            blocks = linksim._qostbc_code(QAM16.points[tuples]).transpose(0, 2, 1)
             y = math.sqrt(power) * np.einsum("j,bjt->bt", g.conj(), blocks)
             y = y + sampling.randn_complex(rng, 3000, 4)
             cand = math.sqrt(power) * qostbc_candidates(g, QAM16, pair=False)
@@ -263,7 +264,7 @@ class TestMlDetect:
         # QOSTBC: noiseless 16-QAM blocks come back from the pair search
         g = sampling.randn_complex(rng, 4)
         sent = rng.integers(0, QAM16.size, (500, 4))
-        blocks = linksim._qostbc_encode_batch(QAM16.points[sent])
+        blocks = linksim._qostbc_code(QAM16.points[sent]).transpose(0, 2, 1)
         y = 2.0 * np.einsum("j,bjt->bt", g.conj(), blocks)
         assert np.array_equal(detect_qostbc(y, g, QAM16, 4.0), sent)
 
@@ -314,7 +315,7 @@ def qostbc_candidates(g, constellation, pair):
     if pair:
         zeros = np.zeros(len(tuples), dtype=complex)
         sym = np.stack([sym[:, 0], zeros, zeros, sym[:, 1]], axis=1)
-    return np.einsum("j,bjt->bt", g.conj(), linksim._qostbc_encode_batch(sym))
+    return np.einsum("j,bjt->bt", g.conj(), linksim._qostbc_code(sym).transpose(0, 2, 1))
 
 
 def qostbc_full_search(y, g, constellation, power):
@@ -370,7 +371,7 @@ class TestFrames:
                            if scheme != "precoded_qostbc" else 15000)
         stream = SeededStream(5, SCHEMES.index(scheme))
         bits_rng = stream.generator()
-        bits = bits_rng.integers(0, 2, frame_bit_count(cfg, linksim._SchemeOps(cfg)),
+        bits = bits_rng.integers(0, 2, transmit_row(cfg).n_bits,
                                  dtype=np.uint8)
         x = transmit_frame(cfg, bits, SeededStream(5, 100))
         pw = float(np.mean(np.sum(np.abs(x) ** 2, axis=0)))
@@ -407,6 +408,17 @@ class TestFrames:
             SchemeConfig("gauss_sbf_alamouti", RANK4_COV, QPSK, 1.0, frame_length=7)
         with pytest.raises(ValueError):
             SchemeConfig("precoded_qostbc", RANK4_COV, QPSK, 1.0, frame_length=10)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_scheme_entry_is_a_weight_law_or_a_code(self, scheme):
+        # the row state picks the frame steps from `code is None`, so every
+        # entry names exactly one of the two, and only a code has groups
+        # and a rank; a weight law sends one symbol or one Alamouti pair
+        link = linksim.LINK_SCHEMES[scheme]
+        assert (link.weights is None) != (link.code is None)
+        if link.code is None:
+            assert link.groups is None and link.rank is None
+            assert link.block_length in (1, 2)
 
 
 class TestBerSimulation:
@@ -460,6 +472,23 @@ class TestBerSimulation:
             assert np.array_equal(per_user_ber(1, n_frames), per_user_ber(threads, n_frames)), (
                 threads, n_frames)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_covariance_root_per_row(self, monkeypatch, scheme):
+        # the weight sampler shares the row's root of W
+        roots = []
+        psd_sqrt = sampling.psd_sqrt
+
+        def counting_sqrt(w):
+            roots.append(w)
+            return psd_sqrt(w)
+
+        monkeypatch.setattr(sampling, "psd_sqrt", counting_sqrt)
+        monkeypatch.setattr(linksim, "psd_sqrt", counting_sqrt)
+        ch = sample_channel_set(4, 3, SeededStream(6, 17))
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 8)
+        simulate_worst_user_ber(cfg, ch, 2, SeededStream(6, 18))
+        assert len(roots) == 1
+
     @pytest.mark.parametrize("scheme, trees_per_user", [("precoded_sm", 1),
                                                         ("precoded_qostbc", 2)])
     @pytest.mark.parametrize("n_frames", [1, 4])
@@ -474,15 +503,16 @@ class TestBerSimulation:
     @pytest.mark.parametrize("n_users", [2, 5])
     def test_qostbc_pair_blocks_encoded_once_per_row(self, monkeypatch, n_users):
         # QPSK pairs give 16 candidate blocks per group; a 288-slot frame
-        # encodes 72 blocks, so only the receiver's calls have 16 rows
+        # encodes 72 blocks, so only the search builder's calls have 16 rows
         encoded = []
-        encode = linksim._qostbc_encode_batch
+        link = linksim.LINK_SCHEMES["precoded_qostbc"]
 
         def counting_encode(s):
             encoded.append(len(s))
-            return encode(s)
+            return link.code(s)
 
-        monkeypatch.setattr(linksim, "_qostbc_encode_batch", counting_encode)
+        monkeypatch.setitem(linksim.LINK_SCHEMES, "precoded_qostbc",
+                            dataclasses.replace(link, code=counting_encode))
         ch = sample_channel_set(4, n_users, SeededStream(6, 15))
         cfg = SchemeConfig("precoded_qostbc", RANK4_COV, QPSK, 6.0, 288)
         simulate_worst_user_ber(cfg, ch, 3, SeededStream(6, 16))
@@ -508,13 +538,11 @@ class TestBerSimulation:
     def test_non_finite_observation_raises_through_prebuilt_search(self, scheme):
         ch = sample_channel_set(4, 2, SeededStream(6, 12))
         cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 8)
-        ops = linksim._SchemeOps(cfg)
-        link = linksim.LINK_SCHEMES[scheme]
-        rx = link.receiver(cfg, ops, ch.channels)
+        row = linksim._RowState(cfg, ch.channels)
         y = np.zeros((2, 8), dtype=complex)
         y[1, 3] = np.inf
         with pytest.raises(ValueError):
-            link.detect(cfg, ops, ch.channels, y, None, rx, linksim._Buffers())
+            row.detect(row, y, None, linksim._Buffers())
 
     def test_result_invariants(self):
         ch = sample_channel_set(4, 4, SeededStream(6, 4))
@@ -548,8 +576,8 @@ class TestRateEstimation:
         est, se = estimate_user_rates_mc(cfg, ch, 100, SeededStream(7, 6))
         assert np.all(se == 0.0)
         # fixed pair: combined branch gain enters at half power
-        ops = linksim._SchemeOps(cfg)
-        g = ch.channels.conj() @ ops.fixed.T
+        row = linksim._RowState(cfg, ch.channels)
+        g = ch.channels.conj() @ row.fixed.T
         expected = np.log1p(5.0 * np.sum(np.abs(g) ** 2, axis=1))
         assert np.allclose(est, expected, atol=1e-12)
 

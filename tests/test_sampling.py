@@ -10,12 +10,11 @@ from sbfmc.rates import SchemeParams
 from sbfmc.sampling import (
     ChannelSet,
     SeededStream,
-    WeightSampler,
     psd_sqrt,
 )
 
 from helpers import (gain_cdf, sample_channel_set, sample_exponential_vector, stable_seed,
-                     whole_array_sample)
+                     weight_sampler, whole_array_sample)
 from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
 
 N_KS = 10**5
@@ -122,17 +121,17 @@ class TestWeightSamplers:
         self.rho = float(np.real(self.h.conj() @ self.w @ self.h))
 
     def test_gauss_covariance_moment(self):
-        ws = WeightSampler.from_covariance("gauss_sbf", self.w)
+        ws = weight_sampler("gauss_sbf", self.w)
         n = 10**5
-        draws = ws.sample(SeededStream(5, 1).generator(), n)
+        draws = ws.sample(SeededStream(5, 1).generator(), n, 1)[0]
         prods = draws[:, :, None] * draws[:, None, :].conj()  # (n, N, N)
         est = prods.mean(axis=0)
         se = np.sqrt(prods.real.var(axis=0) + prods.imag.var(axis=0)) / math.sqrt(n)
         assert np.all(np.abs(est - self.w) <= 5 * np.maximum(se, 1e-12))
 
     def test_gauss_rate_closure(self):
-        ws = WeightSampler.from_covariance("gauss_sbf", self.w)
-        draws = ws.sample(SeededStream(5, 2).generator(), 2 * 10**5)
+        ws = weight_sampler("gauss_sbf", self.w)
+        draws = ws.sample(SeededStream(5, 2).generator(), 2 * 10**5, 1)[0]
         vals = np.log1p(10.0 * np.abs(draws @ self.h.conj()) ** 2)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         closed = rates.rate_sbf_gauss(SchemeParams(self.rho, 10.0))
@@ -141,8 +140,8 @@ class TestWeightSamplers:
     def test_gauss_rank_one_gain_is_exponential(self):
         e1 = np.zeros(4, dtype=complex)
         e1[0] = 1.0
-        ws = WeightSampler.from_covariance("gauss_sbf", np.outer(e1, e1.conj()))
-        draws = ws.sample(SeededStream(5, 3).generator(), N_KS)
+        ws = weight_sampler("gauss_sbf", np.outer(e1, e1.conj()))
+        draws = ws.sample(SeededStream(5, 3).generator(), N_KS, 1)[0]
         h = np.array([0.5 - 1j, 0.2, 0.0, 1.0])
         rho = abs(h[0]) ** 2
         t = np.abs(draws @ h.conj()) ** 2 / rho
@@ -152,8 +151,8 @@ class TestWeightSamplers:
     def test_ellip_rank_one_point_mass(self):
         e1 = np.zeros(3, dtype=complex)
         e1[0] = 1.0
-        ws = WeightSampler.from_covariance("ellip_sbf", np.outer(e1, e1.conj()))
-        draws = ws.sample(SeededStream(5, 4).generator(), 1000)
+        ws = weight_sampler("ellip_sbf", np.outer(e1, e1.conj()))
+        draws = ws.sample(SeededStream(5, 4).generator(), 1000, 1)[0]
         t = np.abs(draws[:, 0]) ** 2
         assert np.allclose(t, 1.0, atol=1e-12)
 
@@ -164,26 +163,26 @@ class TestWeightSamplers:
         w = random_psd(rng, 4, 1)
         h = sampling.randn_complex(rng, 4)
         rho = float(np.real(h.conj() @ w @ h))
-        ws = WeightSampler.from_covariance("ellip_sbf", w)
+        ws = weight_sampler("ellip_sbf", w)
         assert ws.rank == 1
-        w1, w2 = ws.sample_pair(SeededStream(5, 9).generator(), 1000)
+        w1, w2 = ws.sample(SeededStream(5, 9).generator(), 1000, 2)
         t = (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2) / (2 * rho)
         assert np.allclose(t, 1.0, rtol=0.0, atol=1e-12)
 
     def test_ellip_r2_gain_uniform(self):
         rng = SeededStream(5, 5).generator()
         w = random_psd(rng, 4, 2)
-        ws = WeightSampler.from_covariance("ellip_sbf", w)
+        ws = weight_sampler("ellip_sbf", w)
         h = sampling.randn_complex(rng, 4)
         rho = float(np.real(h.conj() @ w @ h))
-        draws = ws.sample(SeededStream(5, 6).generator(), N_KS)
+        draws = ws.sample(SeededStream(5, 6).generator(), N_KS, 1)[0]
         t = np.abs(draws @ h.conj()) ** 2 / rho
         stat = kstest(t, lambda x: np.clip(x / 2, 0, 1)).statistic
         assert stat <= ks_critical(N_KS)
 
     def test_ellip_rate_closure(self):
-        ws = WeightSampler.from_covariance("ellip_sbf", self.w)
-        draws = ws.sample(SeededStream(5, 7).generator(), 2 * 10**5)
+        ws = weight_sampler("ellip_sbf", self.w)
+        draws = ws.sample(SeededStream(5, 7).generator(), 2 * 10**5, 1)[0]
         vals = np.log1p(10.0 * np.abs(draws @ self.h.conj()) ** 2)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         closed = rates.rate_sbf_ellip(SchemeParams(self.rho, 10.0, 3))
@@ -191,16 +190,16 @@ class TestWeightSamplers:
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
-            WeightSampler.from_covariance("bf", self.w)
+            weight_sampler("bf", self.w)
 
     def test_named_draw_helpers(self):
-        gauss = WeightSampler.from_covariance("gauss_sbf", self.w)
-        ellip = WeightSampler.from_covariance("ellip_sbf", self.w)
-        one = gauss.sample(SeededStream(5, 30).generator(), 1)[0]
-        block = gauss.sample(SeededStream(5, 30).generator(), 4)
+        gauss = weight_sampler("gauss_sbf", self.w)
+        ellip = weight_sampler("ellip_sbf", self.w)
+        one = gauss.sample(SeededStream(5, 30).generator(), 1, 1)[0][0]
+        block = gauss.sample(SeededStream(5, 30).generator(), 4, 1)[0]
         assert one.shape == (4,) and block.shape == (4, 4)
-        assert np.array_equal(one, gauss.sample(SeededStream(5, 30).generator(), 1)[0])
-        w_e = ellip.sample(SeededStream(5, 31).generator(), 100)
+        assert np.array_equal(one, gauss.sample(SeededStream(5, 30).generator(), 1, 1)[0][0])
+        w_e = ellip.sample(SeededStream(5, 31).generator(), 100, 1)[0]
         # ellipsoid draws have fixed squared norm r inside the root's frame
         g = np.linalg.lstsq(ellip.root, w_e.T, rcond=None)[0]
         assert np.allclose(np.sum(np.abs(g) ** 2, axis=0), ellip.rank, atol=1e-9)
@@ -377,13 +376,13 @@ class TestWeightLawEquivalence:
     )
     def test_two_sample_ks(self, scheme, law_name, rank):
         w, h, rho = self._setup(rank)
-        ws = WeightSampler.from_covariance(scheme, w)
+        ws = weight_sampler(scheme, w)
         rng = SeededStream(89, stable_seed((scheme, law_name))).generator()
         if law_name in ("chi_square_4", "elliptic_alamouti"):
-            w1, w2 = ws.sample_pair(rng, N_KS)
+            w1, w2 = ws.sample(rng, N_KS, 2)
             induced = (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2) / (2 * rho)
         else:
-            induced = np.abs(ws.sample(rng, N_KS) @ h.conj()) ** 2 / rho
+            induced = np.abs(ws.sample(rng, N_KS, 1)[0] @ h.conj()) ** 2 / rho
         law = rates.gain_law_for_scheme(
             {
                 "exponential": "gauss_sbf",
