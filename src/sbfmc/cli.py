@@ -61,7 +61,6 @@ class ExperimentConfig:
     frame_length: int = 0  # 0 = constellation default (720 16-QAM, else 1440)
     solver_tol: float = 1e-6
     solver_max_iter: int = 100_000
-    output: str = "-"
 
 
 def _converter(tp):
@@ -177,13 +176,10 @@ def cmd_rates(cfg):
         for p_db in cfg.power_db:
             power = db_to_linear(p_db)
             for scheme, entry in schemes:
-                vals = []
-                n_skipped = 0
-                for rho_min, rank in gains:
-                    if rank < entry.min_rank:  # min_rank is at most 2
-                        n_skipped += 1
-                        continue
-                    vals.append(entry.rate(rates.SchemeParams(rho_min, power, rank)))
+                # min_rank is at most 2, so every skipped realization is rank 1
+                vals = [entry.rate(rates.SchemeParams(rho_min, power, rank))
+                        for rho_min, rank in gains if rank >= entry.min_rank]
+                n_skipped = len(gains) - len(vals)
                 row_status = status if not n_skipped else f"{status};rank1:{n_skipped}"
                 if not vals:
                     rows.append([scheme, cfg.n, m, p_db, math.nan, math.nan, 0.0,
@@ -204,8 +200,8 @@ def cmd_gaps(cfg):
     for scheme, entry in _rate_entries(cfg):
         if entry.gap_limit is None:  # mc, the bound itself
             continue
-        rank = cfg.rank if entry.uses_rank else 1
-        limit = rates.gap_limit(scheme, rank)
+        rank = entry.row_rank(scheme, cfg.rank)
+        limit = entry.gap_limit(rank)
         for p_db in cfg.power_db:
             power = db_to_linear(p_db)
             p = rates.SchemeParams(cfg.rho_min, power, rank)
@@ -218,13 +214,12 @@ _QUAD_TOL = 1e-8
 _MC_SIGMAS = 3.0
 
 
-def _verify_row(cfg, scheme, rank, p_db, row_idx):
+def _verify_row(cfg, scheme, entry, rank, p_db, row_idx):
     power = db_to_linear(p_db)
     rho = cfg.rho_min
     stream = SeededStream(cfg.seed, _VERIFY_ROW_BASE + row_idx)
     rng = stream.generator()
-    entry = rates.RATE_SCHEMES[scheme]
-    law = rates.gain_law_for_scheme(scheme, rank)
+    law = entry.gain_law(rank)
     # the draws' one array: the target and the moments work in it in place
     vals = law.sample(rng, cfg.n_samples)
     if entry.rate is None:
@@ -264,19 +259,13 @@ def cmd_verify(cfg):
         raise ConfigError("verify needs n_samples >= 1000")
     header = ["scheme", "rank", "rho", "P_dB", "closed_form", "quadrature",
               "mc_estimate", "mc_stderr", "quad_abs_diff", "mc_dev_se", "pass"]
-    tasks = []
-    for scheme, entry in _rate_entries(cfg):
-        rank = cfg.rank if entry.uses_rank else 1
-        if entry.rate is None:  # the phi check: one row, power-free
-            tasks.append((scheme, rank, cfg.power_db[0]))
-        elif entry.gap_limit is not None:  # mc, the bound itself, is not checked
-            tasks.extend((scheme, rank, p_db) for p_db in cfg.power_db)
-
-    def run(idx):
-        scheme, rank, p_db = tasks[idx]
-        return _verify_row(cfg, scheme, rank, p_db, idx)
-
-    rows = map_in_order(run, len(tasks))
+    # the phi check (no rate) is one power-free row; mc, the bound itself
+    # (no gap limit), is not checked
+    tasks = [(scheme, entry, entry.row_rank(scheme, cfg.rank), p_db)
+             for scheme, entry in _rate_entries(cfg)
+             if entry.rate is None or entry.gap_limit is not None
+             for p_db in (cfg.power_db[:1] if entry.rate is None else cfg.power_db)]
+    rows = map_in_order(lambda idx: _verify_row(cfg, *tasks[idx], idx), len(tasks))
     code = 0 if all(row[-1] for row in rows) else 1
     return _csv(header, rows), code
 
@@ -343,7 +332,7 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    parser.add_argument("--out", default=None, help="output CSV path (default: config/stdout)")
+    parser.add_argument("--out", default="-", help="output CSV path (default: stdout)")
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -359,11 +348,10 @@ def main(argv=None):
     except (ConfigError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    dest = args.out or cfg.output
-    if dest in ("-", ""):
+    if args.out in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return code
 

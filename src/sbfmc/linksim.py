@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import CovarianceMatrix
-from .sampling import WeightSampler, fill_randn_complex, psd_sqrt
+from .sampling import fill_randn_complex, psd_sqrt, randn_complex
 
 _ML_SEARCH_GUARD = 10**6
 # candidate rows that one BER row's ML searches may hold at once, over all
@@ -357,7 +357,7 @@ class _RowState:
         if h.shape[1] != w.shape[0]:
             raise ValueError("channel/covariance dimension mismatch")
         blk = link.block_length
-        self.fixed = self.sampler = self.searches = None
+        self.fixed = self.searches = None
         if link.code is None:
             self.encode, self.detect = _encode_weighted, _detect_weighted
             n_symbols = cfg.frame_length
@@ -369,8 +369,6 @@ class _RowState:
                 top = np.clip(lam[::-1][:blk], 0.0, None)
                 self.fixed = np.zeros((blk, w.shape[0]), dtype=np.complex128)
                 self.fixed[:len(top)] = (v[:, ::-1][:, :blk] * np.sqrt(blk * top / top.sum())).T
-            else:
-                self.sampler = WeightSampler(link.weights, self.root, self.rank)
         else:
             self.encode, self.detect = _encode_precoded, _detect_ml
             n_symbols = cfg.frame_length // blk * self.rank
@@ -379,10 +377,30 @@ class _RowState:
         self.n_bits = n_symbols * cfg.constellation.bits_per_symbol
 
     def draw_weights(self, rng, count):
-        """Per-branch (count, N) weights of the scheme's weight law."""
+        """A tuple of block_length (count, N) weight blocks of the scheme's
+        weight law, one per branch (two for the Alamouti pair).
+
+        fixed: the fixed branches, repeated; rng is not read.
+        gauss_sbf: w = B g with g ~ CN(0, I_r), so E[w w^H] = W and the
+            normalized gain |h^H w|^2 / (h^H W h) is unit-mean exponential.
+        ellip_sbf: w = sqrt(r) B u with u uniform on the complex unit
+            sphere in dimension r; the normalized gain is r * Beta(1, r-1).
+
+        Each row draws branches * r complex normals, split across the
+        branches r columns each.  Gaussian branches are thus independent
+        draws.  Ellipsoid branches are drawn jointly, one uniform vector on
+        the sphere in dimension branches * r: this is the construction under
+        which the two-branch combined gain (|h^H w1|^2 + |h^H w2|^2)/(2 rho)
+        follows the r * Beta(2, 2r-2) law of the closed-form rate (two
+        independent sphere draws do not).
+        """
         if self.fixed is not None:
             return tuple(np.repeat(b[None, :], count, axis=0) for b in self.fixed)
-        return self.sampler.sample(rng, count, self.link.block_length)
+        r, branches = self.rank, self.link.block_length
+        g = randn_complex(rng, count, branches * r)
+        if self.link.weights == "ellip_sbf":
+            g = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(branches * r)
+        return tuple(g[:, k * r:(k + 1) * r] @ self.root.T for k in range(branches))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +505,9 @@ class LinkScheme:
     block_length: slots per code block; frame lengths are multiples of it
         (1, or 2 for the Alamouti pair, for a weight law).
     weights: the weight law, redrawn per block: "fixed" sends on the top
-        block_length eigenvectors of W, power split by eigenvalue; a
-        WeightSampler kind draws one weight per branch.  None for a code.
+        block_length eigenvectors of W, power split by eigenvalue;
+        "gauss_sbf" and "ellip_sbf" draw one weight per branch (see
+        _RowState.draw_weights).  None for a code.
     code: the code on the streams of the covariance root B: (B, rank)
         symbols -> (B, L, rank) blocks, slot by stream (rank symbols per
         block).  None for a weight law.

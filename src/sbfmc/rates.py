@@ -27,9 +27,7 @@ __all__ = [
     "rate_sbf_ellip",
     "rate_sbf_alam_gauss",
     "rate_sbf_alam_ellip",
-    "gap_limit",
     "quadrature_rate_oracle",
-    "gain_law_for_scheme",
 ]
 
 @dataclass(frozen=True)
@@ -158,10 +156,6 @@ class RateScheme:
         mc, the bound itself.
     uses_rank: whether the law depends on the rank of the covariance.
     min_rank: smallest rank the law is defined for.
-
-    The entries call the module's functions by name when they run, so a
-    rebinding of those names (profilers, perfbench's tracer) reaches every
-    call.
     """
 
     rate: object
@@ -170,53 +164,35 @@ class RateScheme:
     uses_rank: bool
     min_rank: int = 1
 
+    def row_rank(self, scheme, rank):
+        """The rank a row of this entry, named scheme, runs at for the
+        configured rank: rank itself when the law uses it, else 1.
+        ValueError naming scheme when that is below min_rank."""
+        rank = rank if self.uses_rank else 1
+        if rank < self.min_rank:
+            raise ValueError(f"{scheme} needs rank >= {self.min_rank}, got {rank}")
+        return rank
+
 
 RATE_SCHEMES = {
     "mc": RateScheme(
-        rate=lambda p: rate_mc(p),
-        gain_law=None, gap_limit=None, uses_rank=False),
+        rate=rate_mc, gain_law=None, gap_limit=None, uses_rank=False),
     "gauss_sbf": RateScheme(
-        rate=lambda p: rate_sbf_gauss(p),
-        gain_law=lambda r: gainlaws.ExponentialGain(),
+        rate=rate_sbf_gauss, gain_law=lambda r: gainlaws.ExponentialGain(),
         gap_limit=lambda r: specfun.EULER_GAMMA, uses_rank=False),
     "ellip_sbf": RateScheme(
-        rate=lambda p: rate_sbf_ellip(p),
-        gain_law=lambda r: gainlaws.elliptic_gain(r),
+        rate=rate_sbf_ellip, gain_law=lambda r: gainlaws.elliptic_gain(r),
         gap_limit=lambda r: float(specfun.harmonic(r - 1)) - math.log(r), uses_rank=True),
     "gauss_sbf_alamouti": RateScheme(
-        rate=lambda p: rate_sbf_alam_gauss(p),
-        gain_law=lambda r: gainlaws.ChiSquare4Gain(),
+        rate=rate_sbf_alam_gauss, gain_law=lambda r: gainlaws.ChiSquare4Gain(),
         gap_limit=lambda r: math.log(2.0) + specfun.EULER_GAMMA - 1.0, uses_rank=False),
     "ellip_sbf_alamouti": RateScheme(
-        rate=lambda p: rate_sbf_alam_ellip(p),
-        gain_law=lambda r: gainlaws.EllipticAlamoutiGain(r),
+        rate=rate_sbf_alam_ellip, gain_law=lambda r: gainlaws.EllipticAlamoutiGain(r),
         gap_limit=lambda r: float(specfun.harmonic(2 * r - 1)) - math.log(r) - 1.0,
         uses_rank=True, min_rank=2),
     "bingham_phi": RateScheme(
-        rate=None,
-        gain_law=lambda r: gainlaws.GammaGain(r), gap_limit=None, uses_rank=True),
+        rate=None, gain_law=lambda r: gainlaws.GammaGain(r), gap_limit=None, uses_rank=True),
 }
-
-
-def _entry(scheme, fact):
-    """A scheme's entry; ValueError when the scheme is unknown or lacks the fact."""
-    entry = RATE_SCHEMES.get(scheme)
-    if getattr(entry, fact, None) is None:
-        raise ValueError(f"no {fact.replace('_', ' ')} for scheme {scheme!r}")
-    return entry
-
-
-def gap_limit(scheme, rank=1):
-    """Exact high-power limit of the rate gap C_mc - C_scheme, in nats."""
-    entry = _entry(scheme, "gap_limit")
-    if rank < entry.min_rank:
-        raise ValueError(f"{scheme} gap limit needs rank >= {entry.min_rank}, got {rank}")
-    return entry.gap_limit(rank)
-
-
-def gain_law_for_scheme(scheme, rank=1):
-    """Normalized-gain law of a scheme (see module docstring for names)."""
-    return _entry(scheme, "gain_law").gain_law(rank)
 
 
 def quadrature_rate_oracle(law, rho, power, tol=1e-10):

@@ -1,5 +1,5 @@
-"""Seed-reproducible random streams, complex Gaussian draws, channel sets,
-PSD square roots and beamforming-weight samplers.
+"""Seed-reproducible random streams, complex Gaussian draws, channel sets
+and PSD square roots.
 
 Randomness is keyed, not sequential: every (seed, stream_id) pair owns a
 Philox counter-based stream, and independent work units (frames, grid rows,
@@ -90,41 +90,3 @@ def psd_sqrt(w, rank_tol=RANK_TOL):
     keep = lam > rank_tol * lam_max
     b = v[:, keep] * np.sqrt(lam[keep])
     return b, int(keep.sum())
-
-
-@dataclass(frozen=True)
-class WeightSampler:
-    """Draws beamforming weights with covariance W = B B^H.
-
-    gauss_sbf:  w = B g with g ~ CN(0, I_r), so E[w w^H] = W and the
-                normalized gain |h^H w|^2 / (h^H W h) is unit-mean
-                exponential.
-    ellip_sbf:  w = sqrt(r) B u with u uniform on the complex unit sphere
-                in dimension r; the normalized gain is r * Beta(1, r-1).
-    """
-
-    scheme: str
-    root: np.ndarray
-    rank: int
-
-    def __post_init__(self):
-        if self.scheme not in ("gauss_sbf", "ellip_sbf"):
-            raise ValueError(f"unsupported weight scheme {self.scheme!r}")
-
-    def sample(self, rng, size, branches):
-        """A tuple of branches (size, N) weight blocks, one per branch of a
-        block code (two for the Alamouti-coded schemes).
-
-        Each row draws branches * r complex normals, split across the
-        branches r columns each.  Gaussian branches are thus independent
-        draws.  Ellipsoid branches are drawn jointly, one uniform vector on
-        the sphere in dimension branches * r: this is the construction under
-        which the two-branch combined gain (|h^H w1|^2 + |h^H w2|^2)/(2 rho)
-        follows the r * Beta(2, 2r-2) law of the closed-form rate (two
-        independent sphere draws do not).
-        """
-        r = self.rank
-        g = randn_complex(rng, size, branches * r)
-        if self.scheme == "ellip_sbf":
-            g = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(branches * r)
-        return tuple(g[:, k * r:(k + 1) * r] @ self.root.T for k in range(branches))

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import betainc, gammainc
 
 from sbfmc import capacity, gainlaws, linksim, specfun
-from sbfmc.sampling import ChannelSet, SeededStream, WeightSampler, psd_sqrt, randn_complex
+from sbfmc.sampling import ChannelSet, SeededStream, randn_complex
 from sbfmc.specfun import EULER_GAMMA, harmonic
 
 from hypoexp import ExponentialMixture, MixtureGain, phi_exp_mixture
@@ -153,8 +153,12 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream):
 
 
 def weight_sampler(scheme, w):
-    """The WeightSampler of a weight law on the covariance w."""
-    return WeightSampler(scheme, *psd_sqrt(w))
+    """The BER row state of the weighted link scheme on the unit-trace
+    covariance w, as transmit_row builds it: its draw_weights draws the
+    scheme's branches (two for an Alamouti scheme), and root and rank are
+    those of w."""
+    return transmit_row(linksim.SchemeConfig(scheme, capacity.CovarianceMatrix(w),
+                                             linksim.make_constellation("qpsk"), 1.0))
 
 
 def stable_seed(key):

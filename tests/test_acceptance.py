@@ -60,8 +60,8 @@ def test_criterion_02_elliptic_closed_form_and_gap():
             worst_quad = max(worst_quad, abs(cf - q))
         p = SchemeParams(1.0, 1e6, r)
         gap = rates.rate_mc(p) - rates.rate_sbf_ellip(p)
-        worst_gap = max(worst_gap, abs(gap - rates.gap_limit("ellip_sbf", r)))
-    r4_limit_err = abs(rates.gap_limit("ellip_sbf", 4) - 0.44704)
+        worst_gap = max(worst_gap, abs(gap - rates.RATE_SCHEMES["ellip_sbf"].gap_limit(r)))
+    r4_limit_err = abs(rates.RATE_SCHEMES["ellip_sbf"].gap_limit(4) - 0.44704)
     elapsed = time.perf_counter() - t0
     report(2, worst_quad <= 1e-8 and worst_gap <= 1e-4 and r4_limit_err < 1e-5
            and elapsed < 5.0,
@@ -106,7 +106,7 @@ def test_criterion_04_gauss_alamouti():
     p = SchemeParams(1.0, 1e6)
     gap = rates.rate_mc(p) - rates.rate_sbf_alam_gauss(p)
     gap_err = abs(gap - (math.log(2.0) + specfun.EULER_GAMMA - 1.0))
-    lim_err = abs(rates.gap_limit("gauss_sbf_alamouti") - 0.27036)
+    lim_err = abs(rates.RATE_SCHEMES["gauss_sbf_alamouti"].gap_limit(1) - 0.27036)
     report(4, worst <= 1e-8 and gap_err <= 1e-4 and lim_err < 1e-5,
            f"Gaussian-Alamouti closed form vs 4te^-2t quadrature ({worst:.2e}), "
            f"gap limit err {gap_err:.2e}")
@@ -124,8 +124,8 @@ def test_criterion_05_elliptic_alamouti():
         worst_norm = max(worst_norm, abs(integral - 1.0))
         p = SchemeParams(1.0, 1e6, r)
         gap = rates.rate_mc(p) - rates.rate_sbf_alam_ellip(p)
-        worst_gap = max(worst_gap, abs(gap - rates.gap_limit("ellip_sbf_alamouti", r)))
-    r2_err = abs(rates.gap_limit("ellip_sbf_alamouti", 2) - 0.14019)
+        worst_gap = max(worst_gap, abs(gap - rates.RATE_SCHEMES["ellip_sbf_alamouti"].gap_limit(r)))
+    r2_err = abs(rates.RATE_SCHEMES["ellip_sbf_alamouti"].gap_limit(2) - 0.14019)
     report(5, worst_quad <= 1e-8 and worst_norm <= 1e-10 and worst_gap <= 1e-4
            and r2_err < 1e-5,
            f"elliptic-Alamouti closed form ({worst_quad:.2e}), density norm "
@@ -174,18 +174,18 @@ def test_criterion_07_sampler_fidelity():
     pairs = [
         ("gauss_sbf", gainlaws.ExponentialGain(), False),
         ("ellip_sbf", gainlaws.EllipticGain(3), False),
-        ("gauss_sbf", gainlaws.ChiSquare4Gain(), True),
-        ("ellip_sbf", gainlaws.EllipticAlamoutiGain(3), True),
+        ("gauss_sbf_alamouti", gainlaws.ChiSquare4Gain(), True),
+        ("ellip_sbf_alamouti", gainlaws.EllipticAlamoutiGain(3), True),
     ]
     two_sample = []
     for i, (scheme, law, is_pair) in enumerate(pairs):
         ws = weight_sampler(scheme, w)
         gen = SeededStream(707, 100 + i).generator()
         if is_pair:
-            w1, w2 = ws.sample(gen, n, 2)
+            w1, w2 = ws.draw_weights(gen, n)
             induced = (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2) / (2 * rho)
         else:
-            induced = np.abs(ws.sample(gen, n, 1)[0] @ h.conj()) ** 2 / rho
+            induced = np.abs(ws.draw_weights(gen, n)[0] @ h.conj()) ** 2 / rho
         direct = law.sample(SeededStream(707, 200 + i).generator(), n)
         two_sample.append(ks_2samp(induced, direct).statistic)
     ok &= all(s <= crit2 for s in two_sample)
@@ -208,22 +208,24 @@ def test_criterion_08_monte_carlo_rate_closure():
 
     gauss = weight_sampler("gauss_sbf", w)
     ellip = weight_sampler("ellip_sbf", w)
-    draws = gauss.sample(SeededStream(808, 0).generator(), n, 1)[0]
+    gauss_pair = weight_sampler("gauss_sbf_alamouti", w)
+    ellip_pair = weight_sampler("ellip_sbf_alamouti", w)
+    draws = gauss.draw_weights(SeededStream(808, 0).generator(), n)[0]
     devs["gauss_sbf"] = mc_dev(
         np.log1p(power * np.abs(draws @ h.conj()) ** 2),
         rates.rate_sbf_gauss(SchemeParams(rho, power, rank)),
     )
-    draws = ellip.sample(SeededStream(808, 1).generator(), n, 1)[0]
+    draws = ellip.draw_weights(SeededStream(808, 1).generator(), n)[0]
     devs["ellip_sbf"] = mc_dev(
         np.log1p(power * np.abs(draws @ h.conj()) ** 2),
         rates.rate_sbf_ellip(SchemeParams(rho, power, rank)),
     )
-    w1, w2 = gauss.sample(SeededStream(808, 2).generator(), n, 2)
+    w1, w2 = gauss_pair.draw_weights(SeededStream(808, 2).generator(), n)
     xi = 0.5 * (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2)
     devs["gauss_sbf_alamouti"] = mc_dev(
         np.log1p(power * xi), rates.rate_sbf_alam_gauss(SchemeParams(rho, power, rank))
     )
-    w1, w2 = ellip.sample(SeededStream(808, 3).generator(), n, 2)
+    w1, w2 = ellip_pair.draw_weights(SeededStream(808, 3).generator(), n)
     xi = 0.5 * (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2)
     devs["ellip_sbf_alamouti"] = mc_dev(
         np.log1p(power * xi), rates.rate_sbf_alam_ellip(SchemeParams(rho, power, rank))
@@ -272,7 +274,7 @@ def predicted_qpsk_ber(scheme, rank, snr):
     if scheme == "ellip_sbf_alamouti" and rank == 1:
         law = gainlaws.PointMassGain(1.0)
     else:
-        law = rates.gain_law_for_scheme(scheme, rank)
+        law = rates.RATE_SCHEMES[scheme].gain_law(rank)
 
     def q(t):
         return 0.5 * erfc(np.sqrt(snr * np.asarray(t) / 2.0))

@@ -43,8 +43,10 @@ class TestConfigParsing:
         assert cfg.m == 8
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError):
-            parse_config("bogus = 1\n")
+        # output is no key: --out names the CSV file
+        for text in ("bogus = 1\n", "output = x.csv\n"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
 
     def test_unsorted_power_grid(self):
         with pytest.raises(ConfigError):
@@ -67,7 +69,7 @@ class TestGaps:
         # limit column comes from the exact rationals
         ea = [r for r in rows if r["scheme"] == "ellip_sbf_alamouti"]
         assert ea and all(
-            abs(float(r["limit"]) - rates.gap_limit("ellip_sbf_alamouti", 3)) < 1e-15
+            abs(float(r["limit"]) - rates.RATE_SCHEMES["ellip_sbf_alamouti"].gap_limit(3)) < 1e-15
             for r in ea
         )
         assert abs(float(ea[0]["limit"]) - 0.18472104466522343) < 1e-15
@@ -132,10 +134,11 @@ class TestVerify:
         # the rest is one block of CHUNK rows and the quadrature
         n = 2 * 10**6
         cfg = parse_config(f"n_samples = {n}\nrank = 3\nseed = 7\n")
-        rank = cfg.rank if rates.RATE_SCHEMES[scheme].uses_rank else 1
+        entry = rates.RATE_SCHEMES[scheme]
+        rank = entry.row_rank(scheme, cfg.rank)
         tracemalloc.start()
         try:
-            row = cli._verify_row(cfg, scheme, rank, 10.0, 0)
+            row = cli._verify_row(cfg, scheme, entry, rank, 10.0, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,6 +355,14 @@ def test_bad_scheme_reports_input_error(tmp_path, command):
     assert main([command, "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("command", ["gaps", "verify"])
+def test_rank_below_scheme_minimum_reports_input_error(tmp_path, capsys, command):
+    # the elliptic Alamouti law needs rank >= 2; the refusal names the scheme
+    code, text = run_cli(tmp_path, command, "schemes = ellip_sbf_alamouti\nrank = 1\n")
+    assert code == 2 and text == ""
+    assert "ellip_sbf_alamouti" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", [
     "n_realizations = 0", "n_realizations = -2",
     "solver_tol = 0", "solver_tol = -1", "solver_tol = nan", "solver_tol = inf",
@@ -382,7 +393,7 @@ def test_formerly_refused_elliptic_gap_matches_quadrature(tmp_path, rank, power_
     (row,) = rows_of(text)[1]
     power = cli.db_to_linear(power_db)
     rate = math.log1p(power) - float(row["gap_nats"])
-    law = rates.gain_law_for_scheme("ellip_sbf", rank)
+    law = rates.RATE_SCHEMES["ellip_sbf"].gain_law(rank)
     # the oracle raises QuadratureError unless its error bound is within 1e-9
     assert abs(rate - rates.quadrature_rate_oracle(law, 1.0, power)) <= 1e-9
 

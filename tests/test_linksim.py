@@ -159,13 +159,13 @@ class TestAlamouti:
     def test_pair_gain_law_chi4(self):
         # gains from Gaussian weight pairs follow 4 t e^{-2t}
         w = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
-        ws = weight_sampler("gauss_sbf", w)
+        ws = weight_sampler("gauss_sbf_alamouti", w)
         rng = SeededStream(2, 2).generator()
-        w1, w2 = ws.sample(rng, 10**5, 2)
+        w1, w2 = ws.draw_weights(rng, 10**5)
         h = sampling.randn_complex(rng, 4)
         rho = float(np.real(h.conj() @ w @ h))
         xi = (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2) / (2 * rho)
-        law = rates.gain_law_for_scheme("gauss_sbf_alamouti")
+        law = rates.RATE_SCHEMES["gauss_sbf_alamouti"].gain_law(1)
         stat = kstest(xi, lambda x: gain_cdf(law, x)).statistic
         assert stat <= kstwobign.ppf(1 - 1e-3) / math.sqrt(xi.size)
 
