@@ -278,9 +278,12 @@ def cmd_ber(cfg):
     m_values = cfg.m_grid or [cfg.m]
     con = make_constellation(cfg.constellation)
     t_len = cfg.frame_length or (720 if con.name == "qam16" else 1440)
-    # names known only to the rate table (mc) have no link scheme
+    # names known only to the rate table (mc, bingham_phi) have no link scheme
     schemes = [s for s in cfg.schemes
                if s in linksim.LINK_SCHEMES or s not in rates.RATE_SCHEMES]
+    if not schemes:
+        raise ValueError("ber has no link scheme to simulate"
+                         + (f": {', '.join(cfg.schemes)} only have a rate" if cfg.schemes else ""))
     rows = []
     row_idx = 0
     for m in m_values:

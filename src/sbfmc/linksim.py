@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import CovarianceMatrix
-from .sampling import fill_randn_complex, psd_sqrt, randn_complex
+from .sampling import fill_randn_planes, psd_sqrt, randn_complex
 
 _ML_SEARCH_GUARD = 10**6
 # candidate rows that one BER row's ML searches may hold at once, over all
@@ -76,11 +76,9 @@ class Constellation:
 
     @functools.cached_property
     def slicer(self):
-        """Per-axis decision data of a product-grid constellation: the
-        midpoints between the sorted real levels, the same for the imaginary
-        levels, and the (n_re, n_im) table from a level pair to its point
-        index.  Raises ValueError when the points do not fill such a grid
-        one-to-one (an 8-PSK, say)."""
+        """The _Slicer of a product-grid constellation.  Raises ValueError
+        when the points do not fill such a grid one-to-one (an 8-PSK,
+        say)."""
         re_mids = _level_midpoints(self.points.real)
         im_mids = _level_midpoints(self.points.imag)
         table = np.full((len(re_mids) + 1, len(im_mids) + 1), -1, dtype=np.int64)
@@ -88,7 +86,33 @@ class Constellation:
               np.searchsorted(im_mids, self.points.imag)] = np.arange(self.size)
         if table.size != self.size or (table < 0).any():
             raise ValueError(f"{self.name}: points do not form a product grid of per-axis levels")
-        return re_mids, im_mids, table
+        table = table.ravel()
+        errors = np.bitwise_count(table[:, None] ^ np.arange(self.size)).astype(np.uint8)
+        return _Slicer(re_mids, im_mids, table, errors.ravel(),
+                       np.min_scalar_type(errors.size - 1), int(np.flatnonzero(table == 0)[0]))
+
+
+@dataclass(frozen=True)
+class _Slicer:
+    """Per-axis decision data of a product-grid constellation.
+
+    re_mids, im_mids: the midpoints between the sorted real levels, and
+        between the sorted imaginary levels (none on a one-level axis).
+    points: (cells,) point index of each cell, the level pair
+        (i_re, i_im) numbered i_re * n_im + i_im.
+    errors: the raveled (cells, size) table of the label bits in which the
+        point of a cell differs from each point, entry cell * size + point.
+    dtype: the unsigned dtype that holds every index into errors (uint8 up
+        to 16 points).
+    cell0: the cell of point 0.
+    """
+
+    re_mids: np.ndarray
+    im_mids: np.ndarray
+    points: np.ndarray
+    errors: np.ndarray
+    dtype: np.dtype
+    cell0: int
 
 
 def _level_midpoints(x):
@@ -211,40 +235,55 @@ class _Buffers:
         return a
 
 
-def _nearest_point(values, scale, constellation, buf):
-    """Index of the point p minimising |values - scale * p|^2, entry by entry,
-    for values and a complex or real scale of any one shape.
+def _slice_cells(u_re, u_im, e, constellation, buf):
+    """The cell (see _Slicer) of the point p minimising |values - scale * p|^2,
+    entry by entry, from u = values * conj(scale), given as its real and
+    imaginary parts u_re and u_im of one shape, and e = |scale|^2, which
+    broadcasts against them.  The constellation has two points or more, so
+    some axis has a midpoint.
 
     On a product grid this is the nearest level of values/scale on each axis,
-    decided without dividing: with u = values * conj(scale) and
-    e = |scale|^2, the real level index counts the midpoints m with
-    Re(u) > e * m, and likewise on the imaginary axis.  A value exactly on a
-    midpoint takes the lower level (ties have probability zero).  Where
-    scale == 0 every point is equally far, and point 0 is returned.  Every
-    step writes into arrays of the _Buffers buf, and the returned indices
-    are one of them.
+    decided without dividing: the real level index counts the midpoints m
+    with u_re > e * m, and likewise on the imaginary axis.  A value exactly
+    on a midpoint takes the lower level (ties have probability zero).  Where
+    scale == 0 every point is equally far, and the cell of point 0 is
+    returned.  Every step writes into arrays of the _Buffers buf, and the
+    returned cells, of dtype slicer.dtype, are one of them.
     """
-    re_mids, im_mids, table = constellation.slicer
-    shape = values.shape
-    u = np.conjugate(scale, out=buf("slice_u", shape, np.complex128))
-    np.multiply(values, u, out=u)
-    e = np.abs(scale, out=buf("slice_e", shape))
-    np.square(e, out=e)
-    level = buf("slice_level", shape)
-    above = buf("slice_above", shape, np.bool_)
-    i_re = buf("slice_re", shape, np.intp)
-    i_im = buf("slice_im", shape, np.intp)
-    for axis, mids, count in ((u.real, re_mids, i_re), (u.imag, im_mids, i_im)):
-        count.fill(0)
+    sl = constellation.slicer
+    above = buf("slice_above", u_re.shape, np.bool_)
+    cell = buf("slice_cell", u_re.shape, sl.dtype)
+    levels = {}  # e * m by midpoint: a square grid has the same ones on both axes
+    first = True
+    for axis, mids in ((u_re, sl.re_mids), (u_im, sl.im_mids)):
+        if not first and len(mids):
+            np.multiply(cell, len(mids) + 1, out=cell)  # the real index's weight n_im
         for m in mids:
-            count += np.greater(axis, np.multiply(e, m, out=level), out=above)
-    i_re *= table.shape[1]
-    i_re += i_im
-    # every level pair indexes the table, so clipping never acts; unlike the
+            level = levels.get(m)
+            if level is None:
+                level = buf(f"slice_level{len(levels)}", e.shape)
+                levels[m] = np.multiply(e, m, out=level)
+            np.greater(axis, level, out=above)
+            if first:
+                np.copyto(cell, above)
+                first = False
+            else:
+                np.add(cell, above, out=cell)
+    np.copyto(cell, sl.cell0, where=np.equal(e, 0, out=buf("slice_zero", e.shape, np.bool_)))
+    return cell
+
+
+def _count_bit_errors(cell, sent, constellation, buf):
+    """(M,) bit errors of every user from the (L, M, T / L) cells of the
+    decisions, as _slice_cells returns them (overwritten here), against the
+    sent point indices, which broadcast against them."""
+    sl = constellation.slicer
+    np.multiply(cell, constellation.size, out=cell)
+    np.add(cell, sent.astype(sl.dtype), out=cell)
+    # every index is in the table, so clipping never acts; unlike the
     # default mode it writes straight into out
-    idx = np.take(table.ravel(), i_re, out=buf("slice_idx", shape, np.int64), mode="clip")
-    np.copyto(idx, 0, where=np.equal(e, 0, out=above))
-    return idx
+    ones = np.take(sl.errors, cell, out=buf("slice_ones", cell.shape, np.uint8), mode="clip")
+    return ones.sum(axis=(0, 2), dtype=np.int64)
 
 
 def _all_tuples(n_symbols, size):
@@ -332,17 +371,19 @@ class _RowState:
     start and shared by them: cfg, the (M, N) channels h, the root B and
     rank of the covariance (one psd_sqrt), the payload bits per frame
     n_bits, and the scheme's frame steps, chosen here from whether its code
-    is None.  A weight law's encode draws through draw_weights; a code's
-    detect queries searches, every user's ML searches (see _searches).
+    is None.  A weight law's encode draws through draw_weights; the fixed
+    law's gains and slicer scales, the same every frame, are computed here
+    once (see _branch_gains and _slicer_scales), and are None for a drawn
+    law.  A code's detect queries searches, every user's ML searches (see
+    _searches).
 
     encode(row, bits, rng) -> the (N, T) transmit signal and the
     receiver-side info.  It draws only weights from rng (the caller draws
     payload bits before and noise after), so results reproduce.
-    detect(row, y, info, buf) -> one (M, ...) array of every user's
-    detected symbol indices from the (M, T) received signal y, row i shaped
-    like info["symbols"] (or broadcast against it).  Its work arrays and
-    its result come from buf, the frame worker's _Buffers, so the result
-    is valid until the worker's next frame.
+    detect(row, y, info, buf) -> the (M,) bit errors of every user's
+    decisions from the (M, T) received signal y against the sent symbol
+    indices info["symbols"].  Its work arrays come from buf, the frame
+    worker's _Buffers, and it may overwrite y.
     """
 
     def __init__(self, cfg, h):
@@ -357,7 +398,7 @@ class _RowState:
         if h.shape[1] != w.shape[0]:
             raise ValueError("channel/covariance dimension mismatch")
         blk = link.block_length
-        self.fixed = self.searches = None
+        self.fixed = self.gains = self.scales = self.searches = None
         if link.code is None:
             self.encode, self.detect = _encode_weighted, _detect_weighted
             n_symbols = cfg.frame_length
@@ -369,6 +410,10 @@ class _RowState:
                 top = np.clip(lam[::-1][:blk], 0.0, None)
                 self.fixed = np.zeros((blk, w.shape[0]), dtype=np.complex128)
                 self.fixed[:len(top)] = (v[:, ::-1][:, :blk] * np.sqrt(blk * top / top.sum())).T
+                # the frames' own (T / L, N) @ (N, M) products, so the bits match
+                held = _Buffers()
+                self.gains = _branch_gains(h, self.draw_weights(None, n_symbols // blk), held)
+                self.scales = _slicer_scales(self.gains, math.sqrt(cfg.power / blk), held)
         else:
             self.encode, self.detect = _encode_precoded, _detect_ml
             n_symbols = cfg.frame_length // blk * self.rank
@@ -425,52 +470,90 @@ def _encode_weighted(row, bits, rng):
     return x, {"weights": w, "symbols": idx}
 
 
-def _detect_weighted(row, y, info, buf):
-    """Scalar nearest point of every user's decision statistic after
-    identity (one branch) or Alamouti (two branches) combining, all M users
-    in one pass."""
-    weights = info["weights"]
-    amp = math.sqrt(row.cfg.power / len(weights))
-    h = row.h
+def _branch_gains(h, weights, buf):
+    """Every user's gain on each branch, (M, T / L) per branch: the
+    (T / L, M) product w @ h^H read through its transpose for one branch,
+    and copied contiguous for two, since the Alamouti combiner reads each
+    gain three times."""
     hc_t = h.conj().T
-    # per-branch gains w @ h^H, (blocks, M), each read as its (M, blocks) view
-    gains = [np.matmul(w, hc_t, out=buf(f"gain{b}", (len(w), h.shape[0]), np.complex128)).T
-             for b, w in enumerate(weights)]
+    gains = []
+    for b, w in enumerate(weights):
+        g = np.matmul(w, hc_t, out=buf("gain", (len(w), len(h)), np.complex128)).T
+        if len(weights) > 1:
+            c = buf(f"gain{b}", g.shape, np.complex128)
+            c[...] = g
+            g = c
+        gains.append(g)
+    return gains
+
+
+def _slicer_scales(gains, amp, buf):
+    """What the slicer needs of every user's scale, from the (M, T / L)
+    branch gains at amplitude amp: for one branch, the complex scale
+    c = amp g as conj(c), and e = |c|^2, (M, T) each; for the Alamouti
+    pair, the real scale s = amp (|g1|^2 + |g2|^2) and e = s^2,
+    (M, T / 2) each."""
     if len(gains) == 1:
-        z, scale = y, np.multiply(amp, gains[0], out=buf("scale", y.shape, np.complex128))
+        scale = np.multiply(amp, gains[0], out=buf("scale", gains[0].shape, np.complex128))
+        e = np.abs(scale, out=buf("slice_e", scale.shape))
+        np.square(e, out=e)
+        return np.conjugate(scale, out=scale), e
+    g1, g2 = gains
+    scale, s2 = buf("alam_scale", g1.shape), buf("alam_s2", g2.shape)
+    np.square(np.abs(g1, out=scale), out=scale)
+    np.square(np.abs(g2, out=s2), out=s2)
+    np.multiply(amp, np.add(scale, s2, out=scale), out=scale)
+    return scale, np.square(scale, out=buf("alam_e", scale.shape))
+
+
+def _detect_weighted(row, y, info, buf):
+    """(M,) bit errors of every user's scalar nearest-point decisions after
+    identity (one branch) or Alamouti (two branches) combining, all M users
+    in one pass.  Fixed weights give the same gains and scales every frame,
+    which _RowState computes once."""
+    if row.gains is None:
+        gains = _branch_gains(row.h, info["weights"], buf)
+        scale, e = _slicer_scales(gains, math.sqrt(row.cfg.power / len(gains)), buf)
     else:
-        z, scale = _alamouti_statistics(y, gains, amp, buf)
-    return _nearest_point(z, scale, row.cfg.constellation, buf)
+        gains, (scale, e) = row.gains, row.scales
+    if len(gains) == 1:
+        u = np.multiply(y, scale, out=y)  # y is not read again
+        u_re, u_im = u.real[None], u.imag[None]
+    else:
+        u_re, u_im = _alamouti_statistics(y, gains, scale, buf)
+    # slot k of block j is symbol k + L j, at [k, :, j] of the (L, M, T / L) cells
+    sent = info["symbols"].reshape(-1, len(gains)).T[:, None]
+    con = row.cfg.constellation
+    return _count_bit_errors(_slice_cells(u_re, u_im, e, con, buf), sent, con, buf)
 
 
-def _alamouti_statistics(y, gains, amp, buf):
-    """Every user's combined statistics z and their real scales, (M, T) each,
-    from the (M, T) received slots y and the two (M, T / 2) branch gains.
+def _alamouti_statistics(y, gains, scale, buf):
+    """Every user's combined statistics z times their real scale s, as the
+    real and imaginary parts of u = z s, from the (M, T) received slots y,
+    the two contiguous (M, T / 2) branch gains and the (M, T / 2) scales
+    (see _slicer_scales).  Each part is (2, M, T / 2), slot k of block j
+    at [k, :, j]: both slots of a block share one scale.
 
     With y1 = g1 s1 + g2 s2 + n1 and y2 = -g1 s2* + g2 s1* + n2 in a
     block's two slots, z1 = g1* y1 + g2 y2* and z2 = g2* y1 - g1 y2* are
-    (|g1|^2 + |g2|^2) s_k + noise; both slots get the scale
-    amp (|g1|^2 + |g2|^2).  Each product keeps the operand order of these
-    formulas: the pinned BER digests hold these bits.
+    (|g1|^2 + |g2|^2) s_k + noise.  Each product keeps the operand order of
+    these formulas: the pinned BER digests hold these bits.  u = z s is two
+    real products, which equal the complex product z (s + 0i) but for the
+    sign of a zero: its zero imaginary part only adds a +-0.
     """
-    half = (y.shape[0], y.shape[1] // 2)
+    half = scale.shape
     y1, y2 = y[:, 0::2], y[:, 1::2]
     g1, g2 = gains
     y2c = np.conjugate(y2, out=buf("alam_y2c", half, np.complex128))
-    a = buf("alam_a", half, np.complex128)
+    z = buf("alam_z", half, np.complex128)
     b = buf("alam_b", half, np.complex128)
-    z = buf("alam_z", y.shape, np.complex128)
-    np.multiply(np.conjugate(g1, out=a), y1, out=a)
-    np.add(a, np.multiply(g2, y2c, out=b), out=z[:, 0::2])
-    np.multiply(np.conjugate(g2, out=a), y1, out=a)
-    np.subtract(a, np.multiply(g1, y2c, out=b), out=z[:, 1::2])
-    scale = buf("alam_scale", y.shape)
-    s1, s2 = scale[:, 0::2], scale[:, 1::2]
-    np.square(np.abs(g1, out=s1), out=s1)
-    np.square(np.abs(g2, out=s2), out=s2)
-    np.multiply(amp, np.add(s1, s2, out=s1), out=s1)
-    s2[...] = s1
-    return z, scale
+    u = buf("alam_u", (2, 2, *half))
+    for k, (ga, gb, combine) in enumerate(((g1, g2, np.add), (g2, g1, np.subtract))):
+        np.multiply(np.conjugate(ga, out=z), y1, out=z)
+        combine(z, np.multiply(gb, y2c, out=b), out=z)
+        np.multiply(z.real, scale, out=u[0, k])
+        np.multiply(z.imag, scale, out=u[1, k])
+    return u[0], u[1]
 
 
 def _encode_precoded(row, bits, rng):
@@ -484,16 +567,19 @@ def _encode_precoded(row, bits, rng):
 
 
 def _detect_ml(row, y, info, buf):
-    """Exhaustive ML decisions of every user on each block of L slots: each
-    of the user's searches decides the symbols at its positions, stacked
-    into one (M, T / L, rank) array."""
+    """(M,) bit errors of every user's exhaustive ML decisions on each block
+    of L slots: each of the user's searches decides the symbols at its
+    positions, stacked into one (M, T / L, rank) array of indices."""
     blk = row.link.block_length
     out = buf("ml_idx", (len(row.searches), y.shape[1] // blk, row.rank), np.int64)
     for yi, searches, oi in zip(y, row.searches, out):
         y_blocks = yi.reshape(-1, blk)
         for pos, tuples, search in searches:
             oi[:, pos] = tuples[search.query(y_blocks)]
-    return out
+    # differing bits of every user's indices against the sent ones, in place
+    diff = np.bitwise_xor(out, info["symbols"], out=out)
+    ones = np.bitwise_count(diff, out=buf("ones", out.shape, np.uint8))
+    return ones.reshape(len(ones), -1).sum(axis=1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -546,14 +632,12 @@ def _simulate_one_frame(row, rng, buf):
     h = row.h
     shape = (h.shape[0], row.cfg.frame_length)
     # noise first: the other order measured ~0.6 ms slower per M = 16, T = 1440 frame
-    noise = fill_randn_complex(rng, buf("noise", shape, np.complex128), buf("normals", (2, *shape)))
+    noise = fill_randn_planes(rng, buf("noise", (2, *shape)))
     y = np.matmul(h.conj(), x, out=buf("y", shape, np.complex128))
-    y += noise
-    detected = row.detect(row, y, info, buf)
-    # differing bits of every user's indices against the sent ones, in place
-    diff = np.bitwise_xor(detected, info["symbols"], out=detected)
-    ones = np.bitwise_count(diff, out=buf("ones", detected.shape, np.uint8))
-    return ones.reshape(len(ones), -1).sum(axis=1, dtype=np.int64)
+    # the bits of y += the complex noise randn_complex would draw
+    y.real += noise[0]
+    y.imag += noise[1]
+    return row.detect(row, y, info, buf)
 
 
 def simulate_worst_user_ber(cfg, ch, n_frames, stream):

@@ -5,6 +5,12 @@ Randomness is keyed, not sequential: every (seed, stream_id) pair owns a
 Philox counter-based stream, and independent work units (frames, grid rows,
 realizations) draw from sub-streams at disjoint counter blocks.  Results are
 therefore identical for any worker count and platform.
+
+A complex Gaussian draw is two float planes of standard normals, each
+multiplied by fl(1/sqrt(2)) (fill_randn_planes).  That gives the bits of
+the complex (re + 1j * im) / sqrt(2), so the link simulator adds the planes
+straight into the real and imaginary parts of a received signal, with no
+complex noise array.
 """
 
 from dataclasses import dataclass
@@ -39,25 +45,35 @@ class SeededStream:
 
 
 def randn_complex(rng, *shape):
-    """i.i.d. zero-mean unit-variance circular complex Gaussians.
+    """i.i.d. zero-mean unit-variance circular complex Gaussians: the real
+    and imaginary planes of fill_randn_planes, interleaved."""
+    planes = fill_randn_planes(rng, np.empty((2, *shape)))
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = planes[0]
+    out.imag = planes[1]
+    return out
+
+
+def fill_randn_planes(rng, planes):
+    """Fill the float array planes, of shape (2, *shape), with the real
+    (planes[0]) and imaginary (planes[1]) parts of i.i.d. zero-mean
+    unit-variance circular complex Gaussians; return planes.  Callers that
+    draw many equal-shaped blocks, such as the link simulator's noise,
+    reuse planes instead of faulting fresh pages in each time.
 
     One draw of 2 * size normals is the same Philox sequence as a draw for
-    the real parts followed by one for the imaginary parts, and filling one
-    complex array in place is bit-identical to (re + 1j * im) / sqrt(2).
+    the real parts followed by one for the imaginary parts.  Each normal is
+    then multiplied by fl(1/sqrt(2)), which gives the bits of
+    (re + 1j * im) / sqrt(2): numpy divides a complex a + bi by a real c
+    (as c + 0i) with Smith's algorithm, whose parts are then
+    (a + b * 0) * fl(1/c) and (b - a * 0) * fl(1/c).  The two differ only
+    in the sign of a zero part (a normal of -0.0 comes out +0.0 from the
+    division), which no sum with a nonzero value and no comparison can tell
+    apart.
     """
-    return fill_randn_complex(rng, np.empty(shape, dtype=np.complex128), np.empty((2, *shape)))
-
-
-def fill_randn_complex(rng, out, normals):
-    """Fill the complex array out with the draw randn_complex(rng,
-    *out.shape) would return, through the float scratch normals of shape
-    (2, *out.shape); return out.  Callers that draw many equal-shaped
-    blocks reuse both arrays instead of faulting fresh pages in each time."""
-    rng.standard_normal(out=normals)
-    out.real = normals[0]
-    out.imag = normals[1]
-    out /= np.sqrt(2.0)
-    return out
+    rng.standard_normal(out=planes)
+    planes *= 1.0 / np.sqrt(2.0)
+    return planes
 
 
 @dataclass(frozen=True)

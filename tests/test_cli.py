@@ -254,6 +254,21 @@ class TestBer:
         assert code == 2
         assert "needs a rank-4 covariance, got rank 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names", ["mc", "bingham_phi", "mc, bingham_phi"])
+    def test_rate_only_schemes_are_an_input_error(self, tmp_path, capsys, names):
+        # with no link scheme left there is nothing to simulate: exit 2 and
+        # no CSV, naming the dropped schemes; next to a link scheme they are
+        # skipped, as the golden ber config's mc is
+        cfg = "n = 4\nm = 3\npower_db = 10\nframe_length = 8\nn_frames = 1\n"
+        code, text = run_cli(tmp_path, "ber", cfg + f"schemes = {names}\n")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert all(name in err for name in names.split(", ")), err
+        code, text = run_cli(tmp_path, "ber", cfg + f"schemes = {names}, gauss_sbf\n",
+                             name="kept.cfg")
+        assert code == 0
+        assert [r["scheme"] for r in rows_of(text)[1]] == ["gauss_sbf"]
+
     def test_rerun_and_workers_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SBF_THREADS", "1")
         _, a = run_cli(tmp_path, "ber", self.CFG)

@@ -65,12 +65,32 @@ class TestConstellations:
         assert count_bit_errors(idx_tx, flipped) == total
 
 
+def slicer_inputs(z, scale):
+    """u_re, u_im and e = |scale|^2 of linksim._slice_cells, formed as the
+    detectors form them: u = z conj(scale) for a complex scale, and the two
+    real products z.real * s and z.imag * s for a real one."""
+    if np.iscomplexobj(scale):
+        u = z * np.conj(scale)
+        return u.real, u.imag, np.abs(scale) ** 2
+    return z.real * scale, z.imag * scale, np.abs(scale) ** 2
+
+
+def slice_points(z, scale, con):
+    """Point index of the cell linksim._slice_cells decides for each entry."""
+    cells = linksim._slice_cells(*slicer_inputs(z, scale), con, linksim._Buffers())
+    return con.slicer.points[cells]
+
+
+REAL_OR_COMPLEX = pytest.mark.parametrize("real_scale", [False, True], ids=["complex", "real"])
+
+
 class TestSlicer:
     """The per-axis slicer behind the six beamformed schemes' detection.
 
-    linksim._nearest_point must return argmin_k |z - c p_k|^2.  Tie rule: a
-    value exactly on a midpoint between two levels takes the lower level;
-    such ties have probability zero and the draws below hit none.
+    The point of the cell linksim._slice_cells returns must be
+    argmin_k |z - c p_k|^2.  Tie rule: a value exactly on a midpoint
+    between two levels takes the lower level; such ties have probability
+    zero and the draws below hit none.
     """
 
     @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16, POLAR])
@@ -78,21 +98,25 @@ class TestSlicer:
         rng = SeededStream(9, 0).generator()
         n = 20000
         scale = 10 ** rng.uniform(-8, 3, n) * np.exp(2j * np.pi * rng.uniform(size=n))
-        scale[::2] = np.abs(scale[::2])  # Alamouti combining gives real gains
+        scale[::2] = np.abs(scale[::2])  # real values in a complex array
         sent = con.points[rng.integers(0, con.size, n)]
-        z = scale * (sent + rng.uniform(0, 1.5, n) * sampling.randn_complex(rng, n))
-        brute = np.argmin(np.abs(z[:, None] - scale[:, None] * con.points) ** 2, axis=1)
-        assert np.array_equal(linksim._nearest_point(z, scale, con, linksim._Buffers()), brute)
+        noise = rng.uniform(0, 1.5, n) * sampling.randn_complex(rng, n)
+        # complex scales, then the real ones Alamouti combining gives
+        for c in (scale, np.abs(scale)):
+            z = c * (sent + noise)
+            brute = np.argmin(np.abs(z[:, None] - c[:, None] * con.points) ** 2, axis=1)
+            assert np.array_equal(slice_points(z, c, con), brute), c.dtype
 
     @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16])
     def test_zero_scale_gives_point_zero(self, con):
         z = sampling.randn_complex(SeededStream(9, 1).generator(), 6)
         scale = np.array([0, 1, 0, 1j, 0, 2], dtype=complex)
-        det = linksim._nearest_point(z, scale, con, linksim._Buffers())
-        assert np.all(det[scale == 0] == 0)
+        for c in (scale, np.abs(scale)):
+            det = slice_points(z, c, con)
+            assert np.all(det[scale == 0] == 0), c.dtype
 
     @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16, POLAR])
-    @pytest.mark.parametrize("real_scale", [False, True], ids=["complex", "real"])
+    @REAL_OR_COMPLEX
     def test_all_users_match_row_by_row(self, con, real_scale):
         # the detectors slice all M users of a frame in one (M, T) call
         rng = SeededStream(9, 4).generator()
@@ -104,12 +128,37 @@ class TestSlicer:
         scale[4, ::7] = 0
         sent = con.points[rng.integers(0, con.size, (m, t))]
         z = scale * sent + 0.5 * sampling.randn_complex(rng, m, t)
-        det = linksim._nearest_point(z, scale, con, linksim._Buffers())
+        det = slice_points(z, scale, con)
         assert det.shape == (m, t)
         assert np.all(det[2] == 0) and np.all(det[4, ::7] == 0)
         for i in range(m):
-            row = linksim._nearest_point(z[i], scale[i], con, linksim._Buffers())
+            row = slice_points(z[i], scale[i], con)
             assert np.array_equal(det[i], row), i
+
+    @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16, POLAR])
+    @REAL_OR_COMPLEX
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_counts_are_bit_errors_of_brute_force_decisions(self, con, real_scale, block):
+        # the detectors count in (L, M, T / L) cells, slot k of block j at
+        # [k, :, j], against one payload that every user is sent
+        rng = SeededStream(9, 5).generator()
+        m, t = 5, 400
+        scale = 10 ** rng.uniform(-2, 1, (m, t)) * np.exp(2j * np.pi * rng.uniform(size=(m, t)))
+        if real_scale:
+            scale = np.abs(scale)
+        scale[1] = 0  # a user whose every scale is 0
+        sent = rng.integers(0, con.size, t)
+        z = scale * con.points[sent] + 0.7 * sampling.randn_complex(rng, m, t)
+        brute = np.argmin(np.abs(z[..., None] - scale[..., None] * con.points) ** 2, axis=-1)
+        want = [sum(int(d ^ s).bit_count() for d, s in zip(brute[i], sent)) for i in range(m)]
+        assert want[1] > 0  # the zero-scale user decides point 0 throughout
+
+        u_re, u_im, e = (a.reshape(m, -1, block).transpose(2, 0, 1)
+                         for a in slicer_inputs(z, scale))
+        buf = linksim._Buffers()
+        cells = linksim._slice_cells(u_re, u_im, e, con, buf)
+        got = linksim._count_bit_errors(cells, sent.reshape(-1, block).T[:, None], con, buf)
+        assert got.dtype == np.int64 and got.tolist() == want
 
     @pytest.mark.parametrize("points", [
         np.exp(2j * np.pi * np.arange(8) / 8),  # 8-PSK: not n_re * n_im points

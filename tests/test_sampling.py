@@ -65,6 +65,27 @@ class TestSeededStream:
             assert rng.standard_normal() == ref.standard_normal()
 
 
+    @pytest.mark.parametrize("shape", [(16, 1440), (3, 5)])
+    def test_noise_planes_added_into_y_match_complex_noise(self, shape):
+        # the link simulator's frame path: the planes of fill_randn_planes
+        # added in place into y = h^H x must give the bits of
+        # y + randn_complex(...), and of y plus the two-draw formula's
+        # complex noise, and leave the stream at the same position
+        src = SeededStream(41, 2).generator()
+        hx = sampling.randn_complex(src, *shape) * 10 ** src.uniform(-3, 3, shape)
+        for seed in (0, 7, 20240801, 2**63 + 5):
+            rng = SeededStream(seed, 3).generator()
+            ref, two = SeededStream(seed, 3).generator(), SeededStream(seed, 3).generator()
+            y = hx.copy()
+            planes = sampling.fill_randn_planes(rng, np.empty((2, *shape)))
+            y.real += planes[0]
+            y.imag += planes[1]
+            noise = (two.standard_normal(shape) + 1j * two.standard_normal(shape)) / np.sqrt(2.0)
+            for want in (hx + sampling.randn_complex(ref, *shape), hx + noise):
+                assert np.array_equal(y.view(np.float64), want.view(np.float64)), (seed, shape)
+            assert rng.standard_normal() == ref.standard_normal() == two.standard_normal()
+
+
 class TestChannelSet:
     def test_moments(self):
         ch = sample_channel_set(4, 2500, SeededStream(1, 0))
