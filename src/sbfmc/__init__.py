@@ -5,16 +5,8 @@ covariance solver and a symbol-level link simulator.
 Import rule: `import sbfmc` loads numpy and no scipy module.  No command
 loads scipy.special; scipy.spatial loads on the first precoded ML search."""
 
-from . import backend, capacity, gainlaws, linksim, rates, sampling, specfun
+from . import backend, capacity, gainlaws, linksim, rates, sampling, schemes, specfun
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "backend",
-    "capacity",
-    "gainlaws",
-    "linksim",
-    "rates",
-    "sampling",
-    "specfun",
-]
+__all__ = ["backend", "capacity", "gainlaws", "linksim", "rates", "sampling", "schemes", "specfun"]

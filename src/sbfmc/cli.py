@@ -13,6 +13,13 @@ BLAS matrix-vector product); at 33,333 draws this was seen at ranks 15,
 
 Exit codes: 0 all checks pass, 1 tolerance failure, 2 input error.
 
+Scheme names are the records of schemes.SCHEMES.  A command runs a record
+that has what it needs: rates a rate function, gaps a gap limit, verify a
+gain law, ber a link half.  An unknown name exits 2; a name the command
+cannot run is skipped, with a stderr note naming the commands that run it;
+with no name left (or ``schemes =`` empty) the command exits 2.  With no
+schemes key it runs every record with a rate function that it runs.
+
 Stream layout: channels draw from stream_id 0, one sub-stream per draw:
 realization j of the M-user population of `rates` from sub-stream
 M * 10^6 + j, the one `ber` channel per M from realization 0 of that
@@ -33,6 +40,7 @@ from .gainlaws import PointMassGain, truncation_point
 from .linksim import SchemeConfig, make_constellation, map_in_order, n_workers
 from .quadrature import adaptive_gauss_legendre
 from .sampling import SeededStream
+from .schemes import SCHEMES
 
 LN2 = math.log(2.0)
 
@@ -49,8 +57,7 @@ class ExperimentConfig:
     m: int = 16
     m_grid: list[int] = field(default_factory=list)
     power_db: list[float] = field(default_factory=lambda: [10.0])
-    schemes: list[str] = field(default_factory=lambda: [
-        name for name, s in rates.RATE_SCHEMES.items() if s.rate is not None])
+    schemes: list[str] = None  # None: no schemes key (see _schemes)
     constellation: str = "qpsk"
     seed: int = 0
     n_samples: int = 100_000
@@ -139,12 +146,34 @@ def db_to_linear(p_db):
     return 10.0 ** (p_db / 10.0)
 
 
-def _rate_entries(cfg):
-    """(name, rates.RATE_SCHEMES entry) of every configured scheme."""
+# whether each command runs a SCHEMES record: what it needs of the record
+_RUNS = {
+    "rates": lambda s: s.rate is not None and s.rate.rate is not None,
+    "gaps": lambda s: s.rate is not None and s.rate.gap_limit is not None,
+    "verify": lambda s: s.rate is not None and s.rate.gain_law is not None,
+    "ber": lambda s: s.link is not None,
+}
+
+
+def _schemes(cfg, command):
+    """(name, SCHEMES record) of every configured scheme that command runs,
+    in config order (the rule of the module docstring)."""
+    runs = _RUNS[command]
+    if cfg.schemes is None:
+        return [(name, s) for name, s in SCHEMES.items() if _RUNS["rates"](s) and runs(s)]
     for name in cfg.schemes:
-        if name not in rates.RATE_SCHEMES:
+        if name not in SCHEMES:
             raise ConfigError(f"unknown scheme {name!r}")
-    return [(name, rates.RATE_SCHEMES[name]) for name in cfg.schemes]
+    kept = [(name, SCHEMES[name]) for name in cfg.schemes if runs(SCHEMES[name])]
+    skipped = "; ".join(
+        f"{name} (run by {', '.join(c for c, r in _RUNS.items() if r(SCHEMES[name]))})"
+        for name in cfg.schemes if not runs(SCHEMES[name]))
+    if not kept:
+        raise ConfigError(f"{command} has no scheme to run: "
+                          + (f"it skips {skipped}" if skipped else "schemes is empty"))
+    if skipped:
+        print(f"note: {command} skips {skipped}", file=sys.stderr)
+    return kept
 
 
 def _solve_realizations(cfg, m, keys):
@@ -166,7 +195,7 @@ def cmd_rates(cfg):
     scheme and per (M, P) grid point."""
     header = ["scheme", "N", "M", "P_dB", "rate_nats", "rate_bits", "stderr", "status"]
     m_values = cfg.m_grid or [cfg.m]
-    schemes = [(s, e) for s, e in _rate_entries(cfg) if e.rate is not None]
+    schemes = [(name, s.rate) for name, s in _schemes(cfg, "rates")]
     rows = []
     for m in m_values:
         reals = _solve_realizations(cfg, m, [m * 1_000_000 + j for j in range(cfg.n_realizations)])
@@ -197,15 +226,13 @@ def cmd_gaps(cfg):
     asymptotic limit and the remaining distance to it."""
     header = ["scheme", "rank", "rho_min", "P_dB", "gap_nats", "limit", "delta_to_limit"]
     rows = []
-    for scheme, entry in _rate_entries(cfg):
-        if entry.gap_limit is None:  # mc, the bound itself
-            continue
-        rank = entry.row_rank(scheme, cfg.rank)
-        limit = entry.gap_limit(rank)
+    for scheme, s in _schemes(cfg, "gaps"):
+        rank = s.rate.row_rank(scheme, cfg.rank)
+        limit = s.rate.gap_limit(rank)
         for p_db in cfg.power_db:
             power = db_to_linear(p_db)
             p = rates.SchemeParams(cfg.rho_min, power, rank)
-            gap = rates.rate_mc(p) - entry.rate(p)
+            gap = rates.rate_mc(p) - s.rate.rate(p)
             rows.append([scheme, rank, cfg.rho_min, p_db, gap, limit, gap - limit])
     return _csv(header, rows), 0
 
@@ -259,12 +286,10 @@ def cmd_verify(cfg):
         raise ConfigError("verify needs n_samples >= 1000")
     header = ["scheme", "rank", "rho", "P_dB", "closed_form", "quadrature",
               "mc_estimate", "mc_stderr", "quad_abs_diff", "mc_dev_se", "pass"]
-    # the phi check (no rate) is one power-free row; mc, the bound itself
-    # (no gap limit), is not checked
-    tasks = [(scheme, entry, entry.row_rank(scheme, cfg.rank), p_db)
-             for scheme, entry in _rate_entries(cfg)
-             if entry.rate is None or entry.gap_limit is not None
-             for p_db in (cfg.power_db[:1] if entry.rate is None else cfg.power_db)]
+    # the phi check (no rate) is one power-free row
+    tasks = [(scheme, s.rate, s.rate.row_rank(scheme, cfg.rank), p_db)
+             for scheme, s in _schemes(cfg, "verify")
+             for p_db in (cfg.power_db[:1] if s.rate.rate is None else cfg.power_db)]
     rows = map_in_order(lambda idx: _verify_row(cfg, *tasks[idx], idx), len(tasks))
     code = 0 if all(row[-1] for row in rows) else 1
     return _csv(header, rows), code
@@ -278,12 +303,7 @@ def cmd_ber(cfg):
     m_values = cfg.m_grid or [cfg.m]
     con = make_constellation(cfg.constellation)
     t_len = cfg.frame_length or (720 if con.name == "qam16" else 1440)
-    # names known only to the rate table (mc, bingham_phi) have no link scheme
-    schemes = [s for s in cfg.schemes
-               if s in linksim.LINK_SCHEMES or s not in rates.RATE_SCHEMES]
-    if not schemes:
-        raise ValueError("ber has no link scheme to simulate"
-                         + (f": {', '.join(cfg.schemes)} only have a rate" if cfg.schemes else ""))
+    schemes = [name for name, _ in _schemes(cfg, "ber")]
     rows = []
     row_idx = 0
     for m in m_values:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .capacity import CovarianceMatrix
 from .sampling import fill_randn_planes, psd_sqrt, randn_complex
+from .schemes import SCHEMES
 
 _ML_SEARCH_GUARD = 10**6
 # candidate rows that one BER row's ML searches may hold at once, over all
@@ -63,6 +64,8 @@ class Constellation:
     points: np.ndarray
 
     def __post_init__(self):
+        if len(self.points) < 2:
+            raise ValueError(f"{self.name}: needs two points or more, got {len(self.points)}")
         if abs(np.mean(np.abs(self.points) ** 2) - 1.0) > 1e-12:
             raise ValueError(f"{self.name}: average energy != 1")
 
@@ -164,28 +167,6 @@ def bits_to_symbol_indices(bits, constellation):
 
 
 # ---------------------------------------------------------------------------
-# space-time codes
-
-
-def _qostbc_code(s):
-    """(B, 4) symbols -> (B, 4, 4) quasi-orthogonal blocks, slot by stream."""
-    s1, s2, s3, s4 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    c = np.empty((s.shape[0], 4, 4), dtype=np.complex128)
-    c[:, 0, 0], c[:, 1, 0], c[:, 2, 0], c[:, 3, 0] = s1, s2, s3, s4
-    c[:, 0, 1], c[:, 1, 1] = -np.conj(s2), np.conj(s1)
-    c[:, 2, 1], c[:, 3, 1] = -np.conj(s4), np.conj(s3)
-    c[:, 0, 2], c[:, 1, 2] = -np.conj(s3), -np.conj(s4)
-    c[:, 2, 2], c[:, 3, 2] = np.conj(s1), np.conj(s2)
-    c[:, 0, 3], c[:, 1, 3], c[:, 2, 3], c[:, 3, 3] = s4, -s3, -s2, s1
-    return c
-
-
-def _sm_code(s):
-    """(B, d) symbols -> (B, 1, d) one-slot blocks: symbol j on stream j."""
-    return s[:, None, :]
-
-
-# ---------------------------------------------------------------------------
 # scheme configuration and per-scheme precomputation
 
 
@@ -198,9 +179,9 @@ class SchemeConfig:
     frame_length: int = 1440
 
     def __post_init__(self):
-        link = LINK_SCHEMES.get(self.scheme)
+        link = SCHEMES[self.scheme].link if self.scheme in SCHEMES else None
         if link is None:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"unknown link scheme {self.scheme!r}")
         if self.power < 0:
             raise ValueError("power must be >= 0")
         blk = link.block_length
@@ -388,7 +369,7 @@ class _RowState:
 
     def __init__(self, cfg, h):
         self.cfg, self.h = cfg, h
-        self.link = link = LINK_SCHEMES[cfg.scheme]
+        self.link = link = SCHEMES[cfg.scheme].link
         w = cfg.covariance.entries
         self.root, self.rank = psd_sqrt(w)
         if link.rank is not None and self.rank != link.rank:
@@ -580,48 +561,6 @@ def _detect_ml(row, y, info, buf):
     diff = np.bitwise_xor(out, info["symbols"], out=out)
     ones = np.bitwise_count(diff, out=buf("ones", out.shape, np.uint8))
     return ones.reshape(len(ones), -1).sum(axis=1, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class LinkScheme:
-    """How one scheme sends: one entry of LINK_SCHEMES, data only.  A
-    scheme names either a weight law or a code, and _RowState picks the
-    frame steps from which.
-
-    block_length: slots per code block; frame lengths are multiples of it
-        (1, or 2 for the Alamouti pair, for a weight law).
-    weights: the weight law, redrawn per block: "fixed" sends on the top
-        block_length eigenvectors of W, power split by eigenvalue;
-        "gauss_sbf" and "ellip_sbf" draw one weight per branch (see
-        _RowState.draw_weights).  None for a code.
-    code: the code on the streams of the covariance root B: (B, rank)
-        symbols -> (B, L, rank) blocks, slot by stream (rank symbols per
-        block).  None for a weight law.
-    groups: for a code, the symbol positions each ML search of a block
-        decides (exact when the ML metric splits into one term per group),
-        or None for one search over all rank positions.
-    rank: for a code, the covariance rank it needs, or None for any.
-    """
-
-    block_length: int
-    weights: object
-    code: object = None
-    groups: object = None
-    rank: object = None
-
-
-LINK_SCHEMES = {
-    "bf": LinkScheme(1, "fixed"),
-    "gauss_sbf": LinkScheme(1, "gauss_sbf"),
-    "ellip_sbf": LinkScheme(1, "ellip_sbf"),
-    "bf_alamouti": LinkScheme(2, "fixed"),
-    "gauss_sbf_alamouti": LinkScheme(2, "gauss_sbf"),
-    "ellip_sbf_alamouti": LinkScheme(2, "ellip_sbf"),
-    "precoded_sm": LinkScheme(1, None, code=_sm_code),
-    # the QOSTBC ML metric splits exactly into a term in the symbol pair
-    # {s1, s4} and a term in {s2, s3} (Jafarkhani, IEEE Trans. Commun., 2001)
-    "precoded_qostbc": LinkScheme(4, None, code=_qostbc_code, groups=((0, 3), (1, 2)), rank=4),
-}
 
 
 def _simulate_one_frame(row, rng, buf):

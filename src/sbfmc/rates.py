@@ -2,13 +2,7 @@
 limits for the stochastic beamforming schemes, plus an independent quadrature
 oracle for every rate integral.
 
-All rates are in nats.  Scheme naming used throughout the package:
-
-  mc                   worst-user bound log(1 + rho_min P)
-  gauss_sbf            Gaussian-weight stochastic beamforming
-  ellip_sbf            uniform-ellipsoid stochastic beamforming
-  gauss_sbf_alamouti   Gaussian weights + orthogonal 2x2 code
-  ellip_sbf_alamouti   ellipsoid weights + orthogonal 2x2 code
+All rates are in nats; sbfmc.schemes names the scheme of each.
 """
 
 import math
@@ -20,8 +14,6 @@ from . import gainlaws, quadrature, specfun
 
 __all__ = [
     "SchemeParams",
-    "RateScheme",
-    "RATE_SCHEMES",
     "rate_mc",
     "rate_sbf_gauss",
     "rate_sbf_ellip",
@@ -140,59 +132,6 @@ def rate_sbf_alam_ellip(p):
     if beta < a:
         return _positive_series(beta, lam, lambda k: (2 * a + 1 + k) / ((a + k) * (a + 1 + k)))
     return (beta - a) / beta * _log_tail(beta, lam, a) + a / (a + 1)
-
-
-@dataclass(frozen=True)
-class RateScheme:
-    """Closed-form facts of one scheme: one entry of RATE_SCHEMES.
-
-    rate: SchemeParams -> achievable rate in nats.  None marks
-        bingham_phi, which is no transmission scheme but the verify check
-        of the log-moment phi = E[log t] of its Gamma(r, 1/r) law (the
-        equal-weight case of the Bingham-weight rate's phi terms).
-    gain_law: rank -> normalized-gain law (see sbfmc.gainlaws); None for
-        mc, whose law verify does not sample.
-    gap_limit: rank -> high-power limit of C_mc - rate, in nats; None for
-        mc, the bound itself.
-    uses_rank: whether the law depends on the rank of the covariance.
-    min_rank: smallest rank the law is defined for.
-    """
-
-    rate: object
-    gain_law: object
-    gap_limit: object
-    uses_rank: bool
-    min_rank: int = 1
-
-    def row_rank(self, scheme, rank):
-        """The rank a row of this entry, named scheme, runs at for the
-        configured rank: rank itself when the law uses it, else 1.
-        ValueError naming scheme when that is below min_rank."""
-        rank = rank if self.uses_rank else 1
-        if rank < self.min_rank:
-            raise ValueError(f"{scheme} needs rank >= {self.min_rank}, got {rank}")
-        return rank
-
-
-RATE_SCHEMES = {
-    "mc": RateScheme(
-        rate=rate_mc, gain_law=None, gap_limit=None, uses_rank=False),
-    "gauss_sbf": RateScheme(
-        rate=rate_sbf_gauss, gain_law=lambda r: gainlaws.ExponentialGain(),
-        gap_limit=lambda r: specfun.EULER_GAMMA, uses_rank=False),
-    "ellip_sbf": RateScheme(
-        rate=rate_sbf_ellip, gain_law=lambda r: gainlaws.elliptic_gain(r),
-        gap_limit=lambda r: float(specfun.harmonic(r - 1)) - math.log(r), uses_rank=True),
-    "gauss_sbf_alamouti": RateScheme(
-        rate=rate_sbf_alam_gauss, gain_law=lambda r: gainlaws.ChiSquare4Gain(),
-        gap_limit=lambda r: math.log(2.0) + specfun.EULER_GAMMA - 1.0, uses_rank=False),
-    "ellip_sbf_alamouti": RateScheme(
-        rate=rate_sbf_alam_ellip, gain_law=lambda r: gainlaws.EllipticAlamoutiGain(r),
-        gap_limit=lambda r: float(specfun.harmonic(2 * r - 1)) - math.log(r) - 1.0,
-        uses_rank=True, min_rank=2),
-    "bingham_phi": RateScheme(
-        rate=None, gain_law=lambda r: gainlaws.GammaGain(r), gap_limit=None, uses_rank=True),
-}
 
 
 def quadrature_rate_oracle(law, rho, power, tol=1e-10):

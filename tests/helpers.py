@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import betainc, gammainc
 
-from sbfmc import capacity, gainlaws, linksim, specfun
+from sbfmc import capacity, gainlaws, linksim, schemes, specfun
 from sbfmc.sampling import ChannelSet, SeededStream, randn_complex
 from sbfmc.specfun import EULER_GAMMA, harmonic
 
@@ -79,7 +79,7 @@ def qostbc_encode(s):
     s = np.asarray(s, dtype=np.complex128)
     if s.shape != (4,):
         raise ValueError("qostbc_encode needs exactly 4 symbols")
-    return linksim._qostbc_code(s[None, :])[0].T
+    return schemes._qostbc_code(s[None, :])[0].T
 
 
 def detect_qostbc(y_blocks, g, constellation, power):
@@ -95,7 +95,7 @@ def detect_qostbc(y_blocks, g, constellation, power):
 
     Returns (B, 4) detected symbol indices.
     """
-    searches = linksim._searches(linksim.LINK_SCHEMES["precoded_qostbc"], 4, constellation,
+    searches = linksim._searches(schemes.SCHEMES["precoded_qostbc"].link, 4, constellation,
                                  g.conj()[None, :], math.sqrt(power))[0]
     out = np.empty((y_blocks.shape[0], 4), dtype=np.int64)
     for pos, tuples, search in searches:
@@ -126,7 +126,7 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream):
     Deterministic schemes (bf, bf_alamouti) return the exact rate with
     zero standard error.
     """
-    if linksim.LINK_SCHEMES[cfg.scheme].weights is None:
+    if schemes.SCHEMES[cfg.scheme].link.weights is None:
         raise ValueError(f"no rate estimator for scheme {cfg.scheme!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

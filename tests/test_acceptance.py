@@ -17,7 +17,7 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import kstest, ks_2samp, kstwobign
 
-from sbfmc import capacity, cli, gainlaws, linksim, rates, sampling, specfun
+from sbfmc import capacity, cli, gainlaws, linksim, rates, sampling, schemes, specfun
 from sbfmc.capacity import CovarianceMatrix
 from sbfmc.linksim import SchemeConfig, make_constellation
 from sbfmc.quadrature import adaptive_gauss_legendre
@@ -60,8 +60,8 @@ def test_criterion_02_elliptic_closed_form_and_gap():
             worst_quad = max(worst_quad, abs(cf - q))
         p = SchemeParams(1.0, 1e6, r)
         gap = rates.rate_mc(p) - rates.rate_sbf_ellip(p)
-        worst_gap = max(worst_gap, abs(gap - rates.RATE_SCHEMES["ellip_sbf"].gap_limit(r)))
-    r4_limit_err = abs(rates.RATE_SCHEMES["ellip_sbf"].gap_limit(4) - 0.44704)
+        worst_gap = max(worst_gap, abs(gap - schemes.SCHEMES["ellip_sbf"].rate.gap_limit(r)))
+    r4_limit_err = abs(schemes.SCHEMES["ellip_sbf"].rate.gap_limit(4) - 0.44704)
     elapsed = time.perf_counter() - t0
     report(2, worst_quad <= 1e-8 and worst_gap <= 1e-4 and r4_limit_err < 1e-5
            and elapsed < 5.0,
@@ -106,7 +106,7 @@ def test_criterion_04_gauss_alamouti():
     p = SchemeParams(1.0, 1e6)
     gap = rates.rate_mc(p) - rates.rate_sbf_alam_gauss(p)
     gap_err = abs(gap - (math.log(2.0) + specfun.EULER_GAMMA - 1.0))
-    lim_err = abs(rates.RATE_SCHEMES["gauss_sbf_alamouti"].gap_limit(1) - 0.27036)
+    lim_err = abs(schemes.SCHEMES["gauss_sbf_alamouti"].rate.gap_limit(1) - 0.27036)
     report(4, worst <= 1e-8 and gap_err <= 1e-4 and lim_err < 1e-5,
            f"Gaussian-Alamouti closed form vs 4te^-2t quadrature ({worst:.2e}), "
            f"gap limit err {gap_err:.2e}")
@@ -124,8 +124,9 @@ def test_criterion_05_elliptic_alamouti():
         worst_norm = max(worst_norm, abs(integral - 1.0))
         p = SchemeParams(1.0, 1e6, r)
         gap = rates.rate_mc(p) - rates.rate_sbf_alam_ellip(p)
-        worst_gap = max(worst_gap, abs(gap - rates.RATE_SCHEMES["ellip_sbf_alamouti"].gap_limit(r)))
-    r2_err = abs(rates.RATE_SCHEMES["ellip_sbf_alamouti"].gap_limit(2) - 0.14019)
+        limit = schemes.SCHEMES["ellip_sbf_alamouti"].rate.gap_limit(r)
+        worst_gap = max(worst_gap, abs(gap - limit))
+    r2_err = abs(schemes.SCHEMES["ellip_sbf_alamouti"].rate.gap_limit(2) - 0.14019)
     report(5, worst_quad <= 1e-8 and worst_norm <= 1e-10 and worst_gap <= 1e-4
            and r2_err < 1e-5,
            f"elliptic-Alamouti closed form ({worst_quad:.2e}), density norm "
@@ -274,7 +275,7 @@ def predicted_qpsk_ber(scheme, rank, snr):
     if scheme == "ellip_sbf_alamouti" and rank == 1:
         law = gainlaws.PointMassGain(1.0)
     else:
-        law = rates.RATE_SCHEMES[scheme].gain_law(rank)
+        law = schemes.SCHEMES[scheme].rate.gain_law(rank)
 
     def q(t):
         return 0.5 * erfc(np.sqrt(snr * np.asarray(t) / 2.0))
@@ -311,11 +312,11 @@ def test_criterion_10_link_simulator():
     rng = SeededStream(1010, 2).generator()
     g = sampling.randn_complex(rng, 4)
     tuples = rng.integers(0, 2, (10**4, 4))
-    blocks = linksim._qostbc_code(BPSK.points[tuples]).transpose(0, 2, 1)
+    blocks = schemes._qostbc_code(BPSK.points[tuples]).transpose(0, 2, 1)
     y = np.einsum("j,bjt->bt", g.conj(), blocks) + sampling.randn_complex(rng, 10**4, 4)
     all_tuples = linksim._all_tuples(4, BPSK.size)
     cand = np.einsum("j,bjt->bt", g.conj(),
-                     linksim._qostbc_code(BPSK.points[all_tuples]).transpose(0, 2, 1))
+                     schemes._qostbc_code(BPSK.points[all_tuples]).transpose(0, 2, 1))
     dist = (np.abs(y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
     det_full = all_tuples[np.argmin(dist, axis=1)]
     mismatches = int(np.sum(detect_qostbc(y, g, BPSK, 1.0) != det_full))

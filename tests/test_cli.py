@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import sbfmc
-from sbfmc import cli, linksim, rates
+from sbfmc import cli, rates
 from sbfmc.cli import ConfigError, main, parse_config
+from sbfmc.schemes import SCHEMES
 
 
 def run_cli(tmp_path, command, config_text, seed=None, name="exp.cfg"):
@@ -69,7 +70,7 @@ class TestGaps:
         # limit column comes from the exact rationals
         ea = [r for r in rows if r["scheme"] == "ellip_sbf_alamouti"]
         assert ea and all(
-            abs(float(r["limit"]) - rates.RATE_SCHEMES["ellip_sbf_alamouti"].gap_limit(3)) < 1e-15
+            abs(float(r["limit"]) - SCHEMES["ellip_sbf_alamouti"].rate.gap_limit(3)) < 1e-15
             for r in ea
         )
         assert abs(float(ea[0]["limit"]) - 0.18472104466522343) < 1e-15
@@ -134,7 +135,7 @@ class TestVerify:
         # the rest is one block of CHUNK rows and the quadrature
         n = 2 * 10**6
         cfg = parse_config(f"n_samples = {n}\nrank = 3\nseed = 7\n")
-        entry = rates.RATE_SCHEMES[scheme]
+        entry = SCHEMES[scheme].rate
         rank = entry.row_rank(scheme, cfg.rank)
         tracemalloc.start()
         try:
@@ -244,7 +245,8 @@ class TestBer:
         # fixed Alamouti pair gets a zero second branch), and the rank-4
         # QOSTBC is refused as an input error
         cfg = "n = 1\nm = 3\npower_db = 10\nconstellation = qpsk\nframe_length = 8\nn_frames = 2\n"
-        schemes = [s for s, link in linksim.LINK_SCHEMES.items() if link.rank is None]
+        schemes = [name for name, s in SCHEMES.items()
+                   if s.link is not None and s.link.rank is None]
         code, text = run_cli(tmp_path, "ber", cfg + f"schemes = {', '.join(schemes)}\n")
         assert code == 0
         rows = rows_of(text)[1]
@@ -330,16 +332,23 @@ def test_capped_solver_flags_every_command(tmp_path):
 
 
 def test_shipped_configs_parse():
+    # every scheme of a shipped config is one that the command CI runs the
+    # config with runs, so no shipped run depends on a skip
     import pathlib
 
+    commands = {"ber_sweep": "ber", "gaps": "gaps", "rates_vs_users": "rates",
+                "solve_cov": "solve-cov", "verify": "verify"}
     cfg_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
     found = sorted(cfg_dir.glob("*.cfg"))
-    assert found
+    assert sorted(path.stem for path in found) == sorted(commands)
     for path in found:
         cfg = parse_config(path.read_text())
+        command = commands[path.stem]
+        if command == "solve-cov":
+            assert cfg.schemes is None
+            continue
         for scheme in cfg.schemes:
-            assert scheme in rates.RATE_SCHEMES or scheme in linksim.LINK_SCHEMES, (
-                path.name, scheme)
+            assert cli._RUNS[command](SCHEMES[scheme]), (path.name, scheme)
 
 
 def test_shipped_rates_config_all_certified(tmp_path):
@@ -368,6 +377,49 @@ def test_bad_scheme_reports_input_error(tmp_path, command):
     p = tmp_path / "bad.cfg"
     p.write_text("schemes = not_a_scheme\n")
     assert main([command, "--config", str(p)]) == 2
+
+
+# a small config every scheme command runs in well under a second
+SMALL = ("n = 4\nm = 3\npower_db = 10\nn_realizations = 1\nn_samples = 1000\n"
+         "frame_length = 8\nn_frames = 1\n")
+# the commands that run each scheme that only some commands run
+RUN_BY = {"mc": "rates", "bingham_phi": "verify", "bf": "ber", "precoded_sm": "ber"}
+
+
+@pytest.mark.parametrize("command", ["rates", "gaps", "verify", "ber"])
+def test_empty_scheme_list_reports_input_error(tmp_path, capsys, command):
+    # with nothing to run a command exits 2, never with a header-only CSV
+    code, text = run_cli(tmp_path, command, SMALL + "schemes =\n")
+    assert (code, text) == (2, "")
+    assert command in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, names", [
+    ("ber", "mc, bingham_phi"), ("rates", "bf"), ("rates", "bingham_phi"),
+    ("gaps", "precoded_sm"), ("gaps", "mc"), ("verify", "mc"),
+])
+def test_no_scheme_the_command_runs_reports_input_error(tmp_path, capsys, command, names):
+    # the refusal names every configured scheme and the commands that run it
+    code, text = run_cli(tmp_path, command, SMALL + f"schemes = {names}\n")
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert all(f"{name} (run by {RUN_BY[name]})" in err for name in names.split(", ")), err
+
+
+def test_scheme_the_command_cannot_run_is_skipped(tmp_path, capsys):
+    code, text = run_cli(tmp_path, "rates", SMALL + "schemes = bf, gauss_sbf\n")
+    assert code == 0
+    assert [r["scheme"] for r in rows_of(text)[1]] == ["gauss_sbf"]
+    err = capsys.readouterr().err
+    assert "bf (run by ber)" in err, err
+
+
+@pytest.mark.parametrize("command", ["rates", "gaps", "verify", "ber"])
+def test_default_schemes_print_no_note(tmp_path, capsys, command):
+    # without a schemes key each command runs its own list, silently
+    code, text = run_cli(tmp_path, command, SMALL)
+    assert code == 0 and len(rows_of(text)[1]) == 4 + (command == "rates")
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["gaps", "verify"])
@@ -408,7 +460,7 @@ def test_formerly_refused_elliptic_gap_matches_quadrature(tmp_path, rank, power_
     (row,) = rows_of(text)[1]
     power = cli.db_to_linear(power_db)
     rate = math.log1p(power) - float(row["gap_nats"])
-    law = rates.RATE_SCHEMES["ellip_sbf"].gain_law(rank)
+    law = SCHEMES["ellip_sbf"].rate.gain_law(rank)
     # the oracle raises QuadratureError unless its error bound is within 1e-9
     assert abs(rate - rates.quadrature_rate_oracle(law, 1.0, power)) <= 1e-9
 

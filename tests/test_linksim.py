@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import kstest, kstwobign
 
-from sbfmc import capacity, linksim, rates, sampling
+from sbfmc import capacity, linksim, rates, sampling, schemes
 from sbfmc.capacity import CovarianceMatrix
 from sbfmc.linksim import (
     Constellation,
@@ -22,7 +22,7 @@ from helpers import (_nearest_candidate, alamouti_combine, alamouti_encode, coun
                      qostbc_encode, sample_channel_set, solve_mc_covariance, transmit_frame,
                      transmit_row, weight_sampler)
 
-SCHEMES = tuple(linksim.LINK_SCHEMES)
+SCHEMES = tuple(name for name, s in schemes.SCHEMES.items() if s.link is not None)
 QPSK = make_constellation("qpsk")
 BPSK = make_constellation("bpsk")
 QAM16 = make_constellation("qam16")
@@ -176,6 +176,12 @@ class TestSlicer:
         cfg = SchemeConfig("precoded_sm", RANK4_COV, con, 1.0, 8)
         assert simulate_worst_user_ber(cfg, ch, 1, SeededStream(9, 3)).bits_simulated > 0
 
+    def test_one_point_constellation_refused(self):
+        # one point carries no bits: its frames would divide by zero bits
+        # per symbol
+        with pytest.raises(ValueError, match="two points"):
+            Constellation("one", np.array([1 + 0j]))
+
 
 class TestAlamouti:
     def test_orthogonality_random_symbols(self):
@@ -214,7 +220,7 @@ class TestAlamouti:
         h = sampling.randn_complex(rng, 4)
         rho = float(np.real(h.conj() @ w @ h))
         xi = (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2) / (2 * rho)
-        law = rates.RATE_SCHEMES["gauss_sbf_alamouti"].gain_law(1)
+        law = schemes.SCHEMES["gauss_sbf_alamouti"].rate.gain_law(1)
         stat = kstest(xi, lambda x: gain_cdf(law, x)).statistic
         assert stat <= kstwobign.ppf(1 - 1e-3) / math.sqrt(xi.size)
 
@@ -256,7 +262,7 @@ class TestQostbc:
         g = sampling.randn_complex(rng, 4)
         n_blocks = 10**4
         tuples = rng.integers(0, 2, (n_blocks, 4))
-        blocks = linksim._qostbc_code(BPSK.points[tuples]).transpose(0, 2, 1)
+        blocks = schemes._qostbc_code(BPSK.points[tuples]).transpose(0, 2, 1)
         power = 10 ** (0.2)
         y = math.sqrt(power) * np.einsum("j,bjt->bt", g.conj(), blocks)
         y = y + sampling.randn_complex(rng, n_blocks, 4)
@@ -268,7 +274,7 @@ class TestQostbc:
         rng = SeededStream(3, 4).generator()
         g = sampling.randn_complex(rng, 4)
         tuples = rng.integers(0, 4, (2000, 4))
-        blocks = linksim._qostbc_code(QPSK.points[tuples]).transpose(0, 2, 1)
+        blocks = schemes._qostbc_code(QPSK.points[tuples]).transpose(0, 2, 1)
         y = np.einsum("j,bjt->bt", g.conj(), blocks) + sampling.randn_complex(
             rng, 2000, 4
         )
@@ -290,7 +296,7 @@ class TestQostbc:
         for power_db in (10.0, 16.0, 22.0):
             power = 10 ** (power_db / 10)
             tuples = rng.integers(0, QAM16.size, (3000, 4))
-            blocks = linksim._qostbc_code(QAM16.points[tuples]).transpose(0, 2, 1)
+            blocks = schemes._qostbc_code(QAM16.points[tuples]).transpose(0, 2, 1)
             y = math.sqrt(power) * np.einsum("j,bjt->bt", g.conj(), blocks)
             y = y + sampling.randn_complex(rng, 3000, 4)
             cand = math.sqrt(power) * qostbc_candidates(g, QAM16, pair=False)
@@ -313,7 +319,7 @@ class TestMlDetect:
         # QOSTBC: noiseless 16-QAM blocks come back from the pair search
         g = sampling.randn_complex(rng, 4)
         sent = rng.integers(0, QAM16.size, (500, 4))
-        blocks = linksim._qostbc_code(QAM16.points[sent]).transpose(0, 2, 1)
+        blocks = schemes._qostbc_code(QAM16.points[sent]).transpose(0, 2, 1)
         y = 2.0 * np.einsum("j,bjt->bt", g.conj(), blocks)
         assert np.array_equal(detect_qostbc(y, g, QAM16, 4.0), sent)
 
@@ -364,7 +370,7 @@ def qostbc_candidates(g, constellation, pair):
     if pair:
         zeros = np.zeros(len(tuples), dtype=complex)
         sym = np.stack([sym[:, 0], zeros, zeros, sym[:, 1]], axis=1)
-    return np.einsum("j,bjt->bt", g.conj(), linksim._qostbc_code(sym).transpose(0, 2, 1))
+    return np.einsum("j,bjt->bt", g.conj(), schemes._qostbc_code(sym).transpose(0, 2, 1))
 
 
 def qostbc_full_search(y, g, constellation, power):
@@ -463,7 +469,7 @@ class TestFrames:
         # the row state picks the frame steps from `code is None`, so every
         # entry names exactly one of the two, and only a code has groups
         # and a rank; a weight law sends one symbol or one Alamouti pair
-        link = linksim.LINK_SCHEMES[scheme]
+        link = schemes.SCHEMES[scheme].link
         assert (link.weights is None) != (link.code is None)
         if link.code is None:
             assert link.groups is None and link.rank is None
@@ -554,14 +560,15 @@ class TestBerSimulation:
         # QPSK pairs give 16 candidate blocks per group; a 288-slot frame
         # encodes 72 blocks, so only the search builder's calls have 16 rows
         encoded = []
-        link = linksim.LINK_SCHEMES["precoded_qostbc"]
+        link = schemes.SCHEMES["precoded_qostbc"].link
 
         def counting_encode(s):
             encoded.append(len(s))
             return link.code(s)
 
-        monkeypatch.setitem(linksim.LINK_SCHEMES, "precoded_qostbc",
-                            dataclasses.replace(link, code=counting_encode))
+        counting = dataclasses.replace(link, code=counting_encode)
+        monkeypatch.setitem(schemes.SCHEMES, "precoded_qostbc",
+                            dataclasses.replace(schemes.SCHEMES["precoded_qostbc"], link=counting))
         ch = sample_channel_set(4, n_users, SeededStream(6, 15))
         cfg = SchemeConfig("precoded_qostbc", RANK4_COV, QPSK, 6.0, 288)
         simulate_worst_user_ber(cfg, ch, 3, SeededStream(6, 16))

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from sbfmc import gainlaws, rates, specfun
 from sbfmc.rates import SchemeParams
+from sbfmc.schemes import SCHEMES
 
 from helpers import BinghamUserParams, rate_bingham_user, stable_seed
 from hypoexp import ExponentialMixture, phi_exp_mixture
@@ -137,7 +138,7 @@ class TestQuadratureOracle:
     def test_closed_forms_match_oracle_on_grid(self):
         # closed form vs quadrature <= 1e-8 absolute across the whole grid
         for scheme, r in scheme_grid():
-            law = rates.RATE_SCHEMES[scheme].gain_law(r)
+            law = SCHEMES[scheme].rate.gain_law(r)
             for rho in GRID_RHO:
                 for power in GRID_P:
                     p = SchemeParams(rho, power, r)
@@ -154,7 +155,7 @@ class TestQuadratureOracle:
         # draws, over the full (scheme, r, rho, P) grid; gain draws are
         # scale-free so each law is sampled once and reused
         for scheme, r in scheme_grid():
-            law = rates.RATE_SCHEMES[scheme].gain_law(r)
+            law = SCHEMES[scheme].rate.gain_law(r)
             draws = law.sample(RNG(stable_seed((scheme, r))), 10**6)
             for rho in GRID_RHO:
                 for power in GRID_P:
@@ -168,14 +169,14 @@ class TestQuadratureOracle:
 
 class TestGapLimits:
     def test_values(self):
-        assert abs(rates.RATE_SCHEMES["gauss_sbf"].gap_limit(1) - 0.5772156649015329) < 1e-15
-        assert abs(rates.RATE_SCHEMES["gauss_sbf_alamouti"].gap_limit(1) - 0.2703628454614781) < 1e-14
-        assert abs(rates.RATE_SCHEMES["ellip_sbf_alamouti"].gap_limit(2) - 0.1401861527733881) < 1e-14
-        assert abs(rates.RATE_SCHEMES["ellip_sbf"].gap_limit(4) - (11 / 6 - math.log(4))) < 1e-14
+        assert abs(SCHEMES["gauss_sbf"].rate.gap_limit(1) - 0.5772156649015329) < 1e-15
+        assert abs(SCHEMES["gauss_sbf_alamouti"].rate.gap_limit(1) - 0.2703628454614781) < 1e-14
+        assert abs(SCHEMES["ellip_sbf_alamouti"].rate.gap_limit(2) - 0.1401861527733881) < 1e-14
+        assert abs(SCHEMES["ellip_sbf"].rate.gap_limit(4) - (11 / 6 - math.log(4))) < 1e-14
 
     def test_bad_combos(self):
         with pytest.raises(ValueError, match="ellip_sbf_alamouti"):
-            rates.RATE_SCHEMES["ellip_sbf_alamouti"].row_rank("ellip_sbf_alamouti", 1)
+            SCHEMES["ellip_sbf_alamouti"].rate.row_rank("ellip_sbf_alamouti", 1)
 
     def test_gap_convergence_is_monotone(self):
         for scheme, r in scheme_grid():
@@ -183,7 +184,7 @@ class TestGapLimits:
             for power in (1e2, 1e3, 1e4, 1e5, 1e6):
                 p = SchemeParams(1.0, power, r)
                 gap = rates.rate_mc(p) - RATE_FNS[scheme](p)
-                deltas.append(abs(gap - rates.RATE_SCHEMES[scheme].gap_limit(r)))
+                deltas.append(abs(gap - SCHEMES[scheme].rate.gap_limit(r)))
             if scheme == "ellip_sbf" and r == 1:
                 # degenerate collapse onto the bound: gap identically zero
                 assert all(d == 0.0 for d in deltas)

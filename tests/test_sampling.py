@@ -12,6 +12,7 @@ from sbfmc.sampling import (
     SeededStream,
     psd_sqrt,
 )
+from sbfmc.schemes import SCHEMES
 
 from helpers import (gain_cdf, sample_channel_set, sample_exponential_vector, stable_seed,
                      weight_sampler, whole_array_sample)
@@ -383,33 +384,24 @@ class TestWeightLawEquivalence:
         rho = float(np.real(h.conj() @ w @ h))
         return w, h, rho
 
-    @pytest.mark.parametrize(
-        "scheme,law_name,rank",
-        [
-            ("gauss_sbf", "exponential", 3),
-            ("ellip_sbf", "elliptic", 3),
-            ("gauss_sbf", "chi_square_4", 3),
-            ("ellip_sbf", "elliptic_alamouti", 3),
-        ],
-    )
-    def test_two_sample_ks(self, scheme, law_name, rank):
+    # every record whose rate half has a gain law and whose link half draws
+    # the weights of that law; the Alamouti records draw two branches
+    CASES = [pytest.param(name, 3, id=f"{s.link.weights}-{s.rate.gain_law(3).name}-3")
+             for name, s in SCHEMES.items()
+             if s.rate is not None and s.rate.gain_law is not None
+             and s.link is not None and s.link.weights in ("gauss_sbf", "ellip_sbf")]
+
+    @pytest.mark.parametrize("name, rank", CASES)
+    def test_two_sample_ks(self, name, rank):
         w, h, rho = self._setup(rank)
-        # the scheme whose link entry draws these weights and whose rate
-        # entry names the law: the Alamouti entries draw two branches
-        name = {
-            "exponential": "gauss_sbf",
-            "elliptic": "ellip_sbf",
-            "chi_square_4": "gauss_sbf_alamouti",
-            "elliptic_alamouti": "ellip_sbf_alamouti",
-        }[law_name]
+        link, law = SCHEMES[name].link, SCHEMES[name].rate.gain_law(rank)
         ws = weight_sampler(name, w)
-        rng = SeededStream(89, stable_seed((scheme, law_name))).generator()
-        if law_name in ("chi_square_4", "elliptic_alamouti"):
+        rng = SeededStream(89, stable_seed((link.weights, law.name))).generator()
+        if link.block_length == 2:
             w1, w2 = ws.draw_weights(rng, N_KS)
             induced = (np.abs(w1 @ h.conj()) ** 2 + np.abs(w2 @ h.conj()) ** 2) / (2 * rho)
         else:
             induced = np.abs(ws.draw_weights(rng, N_KS)[0] @ h.conj()) ** 2 / rho
-        law = rates.RATE_SCHEMES[name].gain_law(rank)
         direct = law.sample(SeededStream(90, 1).generator(), N_KS)
         stat, _ = ks_2samp(induced, direct)
         # two-sample critical value: c(alpha) * sqrt(2/n)
