@@ -96,9 +96,7 @@ def rho_values(w, ch):
         raise ValueError(
             f"dimension mismatch: channels are {h.shape[1]}-dim, covariance {entries.shape[0]}"
         )
-    hw = h.conj() @ entries
-    rho = np.einsum("ij,ij->i", hw, h).real
-    rho = np.maximum(rho, 0.0)
+    rho = np.maximum(_gains(h, entries), 0.0)
     return rho, float(rho.min())
 
 

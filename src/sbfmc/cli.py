@@ -176,6 +176,19 @@ def _schemes(cfg, command):
     return kept
 
 
+def _mean_stderr(vals):
+    """Mean of the float array vals and its standard error
+    std(ddof=1) / sqrt(n), 0 for one value.  The variance is numpy's
+    var(ddof=1), step for step, formed in vals itself (overwritten)."""
+    n = vals.size
+    mean = float(vals.mean())
+    if n < 2:
+        return mean, 0.0
+    vals -= mean
+    vals *= vals
+    return mean, math.sqrt(float(vals.sum()) / (n - 1)) / math.sqrt(n)
+
+
 def _solve_realizations(cfg, m, keys):
     """(channel set, covariance solution, per-user gains rho, rank of W*) of
     one M-user draw per channel sub-stream key of stream 0 (see the module
@@ -214,9 +227,7 @@ def cmd_rates(cfg):
                     rows.append([scheme, cfg.n, m, p_db, math.nan, math.nan, 0.0,
                                  row_status])
                     continue
-                vals = np.asarray(vals)
-                mean = vals.mean()
-                se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+                mean, se = _mean_stderr(np.asarray(vals))
                 rows.append([scheme, cfg.n, m, p_db, mean, mean / LN2, se, row_status])
     return _csv(header, rows), 0
 
@@ -265,14 +276,7 @@ def _verify_row(cfg, scheme, entry, rank, p_db, row_idx):
         # every draw is the one value: the mean of equal values can round
         # off it, and the spread of that rounding is no standard error
         vals = vals[:1]
-    n = vals.size
-    mc = float(vals.mean())
-    mc_se = 0.0
-    if n > 1:
-        # numpy's var(ddof=1), step for step, overwriting the draws
-        vals -= mc
-        vals *= vals
-        mc_se = math.sqrt(float(vals.sum()) / (n - 1)) / math.sqrt(n)
+    mc, mc_se = _mean_stderr(vals)
     quad_diff = abs(closed - quad)
     mc_dev = abs(closed - mc) / mc_se if mc_se > 0 else 0.0
     ok = quad_diff <= _QUAD_TOL and mc_dev <= _MC_SIGMAS

@@ -18,9 +18,13 @@ which sets the quadrature's truncation point; the laws' CDFs, which only
 the tests use, live in tests/helpers.py.
 
 Each sampler fills and returns one array of `size` draws and otherwise holds
-at most one block of CHUNK rows.  The blocks consume the generator in the
+at most one block of CHUNK rows; GammaGain's rows hold `rank` exponentials
+each, so its blocks are cut to at most GAMMA_BLOCK exponentials, which
+leaves CHUNK rows up to rank 32.  The blocks consume the generator in the
 order of one whole-array draw and repeat its arithmetic, so the returned
-bits are those of the whole-array expressions kept in tests/helpers.py.
+bits are those of the whole-array expressions kept in tests/helpers.py;
+GammaGain's above rank 32 are not, because a matrix-vector product can
+round each row by the number of rows in its block.
 """
 
 import math
@@ -32,15 +36,17 @@ from . import specfun
 
 # rows per block of a chunked draw
 CHUNK = 1 << 16
+# exponentials per block of a GammaGain draw: CHUNK rows up to rank 32
+GAMMA_BLOCK = 1 << 21
 
 
-def _chunks(size):
-    """Slices of 0..size that start at multiples of CHUNK; a lone last row
+def _chunks(size, rows=CHUNK):
+    """Slices of 0..size that start at multiples of rows; a lone last row
     joins the slice before it, because a one-row matmul takes numpy's dot
     path and rounds unlike the rows of a many-row matmul."""
     start = 0
     while start < size:
-        stop = start + CHUNK
+        stop = start + rows
         if stop + 1 >= size:
             stop = size
         yield slice(start, stop)
@@ -188,7 +194,7 @@ class GammaGain:
     def sample(self, rng, size):
         out = np.empty(size)
         weights = np.full(self.rank, 1.0 / self.rank)
-        for s in _chunks(size):
+        for s in _chunks(size, max(1, min(CHUNK, GAMMA_BLOCK // self.rank))):
             block = out[s]
             np.matmul(rng.standard_exponential((block.size, self.rank)), weights, out=block)
         return out

@@ -90,9 +90,8 @@ class Constellation:
         if table.size != self.size or (table < 0).any():
             raise ValueError(f"{self.name}: points do not form a product grid of per-axis levels")
         table = table.ravel()
-        errors = np.bitwise_count(table[:, None] ^ np.arange(self.size)).astype(np.uint8)
-        return _Slicer(re_mids, im_mids, table, errors.ravel(),
-                       np.min_scalar_type(errors.size - 1), int(np.flatnonzero(table == 0)[0]))
+        return _Slicer(re_mids, im_mids, table.astype(np.min_scalar_type(table.size - 1)),
+                       int(np.flatnonzero(table == 0)[0]))
 
 
 @dataclass(frozen=True)
@@ -102,19 +101,15 @@ class _Slicer:
     re_mids, im_mids: the midpoints between the sorted real levels, and
         between the sorted imaginary levels (none on a one-level axis).
     points: (cells,) point index of each cell, the level pair
-        (i_re, i_im) numbered i_re * n_im + i_im.
-    errors: the raveled (cells, size) table of the label bits in which the
-        point of a cell differs from each point, entry cell * size + point.
-    dtype: the unsigned dtype that holds every index into errors (uint8 up
-        to 16 points).
+        (i_re, i_im) numbered i_re * n_im + i_im, in the unsigned dtype
+        that holds every cell (uint8 up to 256 points); cells are sliced
+        in that dtype, so the decisions they map to keep it.
     cell0: the cell of point 0.
     """
 
     re_mids: np.ndarray
     im_mids: np.ndarray
     points: np.ndarray
-    errors: np.ndarray
-    dtype: np.dtype
     cell0: int
 
 
@@ -126,7 +121,8 @@ def _level_midpoints(x):
     return (levels[1:] + levels[:-1]) / 2
 
 
-_GRAY2 = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
+# the 16-QAM axis level of each 2-bit Gray label 00, 01, 10, 11
+_GRAY2 = np.array([-3.0, -1.0, 3.0, 1.0])
 
 #: every accepted spelling of a constellation name, lower-cased, mapped to
 #: its canonical name
@@ -143,17 +139,11 @@ def make_constellation(spelling):
     if name == "bpsk":
         points = np.array([1.0 + 0j, -1.0 + 0j])
     elif name == "qpsk":
-        pts = []
-        for lab in range(4):
-            bi, bq = (lab >> 1) & 1, lab & 1
-            pts.append(((1 - 2 * bi) + 1j * (1 - 2 * bq)) / np.sqrt(2.0))
-        points = np.array(pts)
+        lab = np.arange(4)
+        points = ((1 - 2 * (lab >> 1)) + 1j * (1 - 2 * (lab & 1))) / np.sqrt(2.0)
     else:
-        pts = []
-        for lab in range(16):
-            bi, bq = (lab >> 2) & 3, lab & 3
-            pts.append((_GRAY2[bi] + 1j * _GRAY2[bq]) / np.sqrt(10.0))
-        points = np.array(pts)
+        lab = np.arange(16)
+        points = (_GRAY2[lab >> 2] + 1j * _GRAY2[lab & 3]) / np.sqrt(10.0)
     return Constellation(name, points)
 
 
@@ -229,11 +219,11 @@ def _slice_cells(u_re, u_im, e, constellation, buf):
     on a midpoint takes the lower level (ties have probability zero).  Where
     scale == 0 every point is equally far, and the cell of point 0 is
     returned.  Every step writes into arrays of the _Buffers buf, and the
-    returned cells, of dtype slicer.dtype, are one of them.
+    returned cells, of dtype slicer.points.dtype, are one of them.
     """
     sl = constellation.slicer
     above = buf("slice_above", u_re.shape, np.bool_)
-    cell = buf("slice_cell", u_re.shape, sl.dtype)
+    cell = buf("slice_cell", u_re.shape, sl.points.dtype)
     levels = {}  # e * m by midpoint: a square grid has the same ones on both axes
     first = True
     for axis, mids in ((u_re, sl.re_mids), (u_im, sl.im_mids)):
@@ -254,31 +244,13 @@ def _slice_cells(u_re, u_im, e, constellation, buf):
     return cell
 
 
-def _count_bit_errors(cell, sent, constellation, buf):
-    """(M,) bit errors of every user from the (L, M, T / L) cells of the
-    decisions, as _slice_cells returns them (overwritten here), against the
-    sent point indices, which broadcast against them."""
-    sl = constellation.slicer
-    np.multiply(cell, constellation.size, out=cell)
-    np.add(cell, sent.astype(sl.dtype), out=cell)
-    # every index is in the table, so clipping never acts; unlike the
-    # default mode it writes straight into out
-    ones = np.take(sl.errors, cell, out=buf("slice_ones", cell.shape, np.uint8), mode="clip")
-    return ones.sum(axis=(0, 2), dtype=np.int64)
-
-
 def _all_tuples(n_symbols, size):
     """(size^n, n) mixed-radix enumeration of symbol-index tuples."""
-    n_cand = size**n_symbols
-    if n_cand > _ML_SEARCH_GUARD:
+    if size**n_symbols > _ML_SEARCH_GUARD:
         raise ValueError(
             f"search space {size}^{n_symbols} exceeds the {_ML_SEARCH_GUARD} guard"
         )
-    idx = np.arange(n_cand)
-    cols = []
-    for j in range(n_symbols - 1, -1, -1):
-        cols.append((idx // size**j) % size)
-    return np.stack(cols, axis=1)
+    return np.indices((size,) * n_symbols).reshape(n_symbols, -1).T
 
 
 class _CandidateSearch:
@@ -359,12 +331,15 @@ class _RowState:
     _searches).
 
     encode(row, bits, rng) -> the (N, T) transmit signal and the
-    receiver-side info.  It draws only weights from rng (the caller draws
-    payload bits before and noise after), so results reproduce.
-    detect(row, y, info, buf) -> the (M,) bit errors of every user's
-    decisions from the (M, T) received signal y against the sent symbol
-    indices info["symbols"].  Its work arrays come from buf, the frame
-    worker's _Buffers, and it may overwrite y.
+    receiver-side info, which holds the sent point indices as
+    info["symbols"], (T / L, k) for k symbols per block of L slots.  It
+    draws only weights from rng (the caller draws payload bits before and
+    noise after), so results reproduce.
+    detect(row, y, info, buf) -> every user's decided point indices from
+    the (M, T) received signal y, (M, T / L, k), laid out like
+    info["symbols"]; the frame counts their bit errors in that array
+    (_bit_errors).  Its work arrays, the returned one included, come from
+    buf, the frame worker's _Buffers, and it may overwrite y.
     """
 
     def __init__(self, cfg, h):
@@ -438,8 +413,8 @@ def _encode_weighted(row, bits, rng):
     branches when the block is two slots long."""
     cfg = row.cfg
     con = cfg.constellation
-    idx = bits_to_symbol_indices(bits, con)
-    s = con.points[idx].reshape(-1, row.link.block_length)
+    idx = bits_to_symbol_indices(bits, con).reshape(-1, row.link.block_length)
+    s = con.points[idx]
     w = row.draw_weights(rng, s.shape[0])
     amp = math.sqrt(cfg.power / len(w))
     if len(w) == 1:
@@ -488,10 +463,10 @@ def _slicer_scales(gains, amp, buf):
 
 
 def _detect_weighted(row, y, info, buf):
-    """(M,) bit errors of every user's scalar nearest-point decisions after
-    identity (one branch) or Alamouti (two branches) combining, all M users
-    in one pass.  Fixed weights give the same gains and scales every frame,
-    which _RowState computes once."""
+    """Every user's scalar nearest-point decisions after identity (one
+    branch) or Alamouti (two branches) combining, all M users in one pass.
+    Fixed weights give the same gains and scales every frame, which
+    _RowState computes once."""
     if row.gains is None:
         gains = _branch_gains(row.h, info["weights"], buf)
         scale, e = _slicer_scales(gains, math.sqrt(row.cfg.power / len(gains)), buf)
@@ -502,10 +477,14 @@ def _detect_weighted(row, y, info, buf):
         u_re, u_im = u.real[None], u.imag[None]
     else:
         u_re, u_im = _alamouti_statistics(y, gains, scale, buf)
-    # slot k of block j is symbol k + L j, at [k, :, j] of the (L, M, T / L) cells
-    sent = info["symbols"].reshape(-1, len(gains)).T[:, None]
     con = row.cfg.constellation
-    return _count_bit_errors(_slice_cells(u_re, u_im, e, con, buf), sent, con, buf)
+    sl = con.slicer
+    cells = _slice_cells(u_re, u_im, e, con, buf)
+    # every cell is in the table, so clipping never acts; unlike the
+    # default mode it writes straight into out
+    points = np.take(sl.points, cells, out=buf("decided", cells.shape, cells.dtype), mode="clip")
+    # slot k of block j is at [k, :, j] of the (L, M, T / L) cells
+    return points.transpose(1, 2, 0)
 
 
 def _alamouti_statistics(y, gains, scale, buf):
@@ -548,19 +527,30 @@ def _encode_precoded(row, bits, rng):
 
 
 def _detect_ml(row, y, info, buf):
-    """(M,) bit errors of every user's exhaustive ML decisions on each block
-    of L slots: each of the user's searches decides the symbols at its
-    positions, stacked into one (M, T / L, rank) array of indices."""
+    """Every user's exhaustive ML decisions on each block of L slots: each
+    of the user's searches decides the symbols at its positions, stacked
+    into one (M, T / L, rank) array of indices."""
     blk = row.link.block_length
     out = buf("ml_idx", (len(row.searches), y.shape[1] // blk, row.rank), np.int64)
     for yi, searches, oi in zip(y, row.searches, out):
         y_blocks = yi.reshape(-1, blk)
         for pos, tuples, search in searches:
             oi[:, pos] = tuples[search.query(y_blocks)]
-    # differing bits of every user's indices against the sent ones, in place
-    diff = np.bitwise_xor(out, info["symbols"], out=out)
-    ones = np.bitwise_count(diff, out=buf("ones", out.shape, np.uint8))
-    return ones.reshape(len(ones), -1).sum(axis=1, dtype=np.int64)
+    return out
+
+
+def _bit_errors(decided, sent):
+    """(M,) bit errors of every user: the label bits in which the decided
+    point indices, (M, *sent.shape) for 2-D sent ones, differ from the
+    sent ones, counted in decided itself (overwritten), whatever its
+    memory layout."""
+    # the sent indices in the layout of one user's decisions, so that the
+    # XOR runs along memory: the Alamouti decisions are slot-major, and
+    # against C-ordered sent indices numpy loops over pairs of slots
+    own = np.empty_like(decided[0])
+    own[...] = sent
+    diff = np.bitwise_xor(decided, own, out=decided)
+    return np.bitwise_count(diff, out=diff).sum(axis=(1, 2), dtype=np.int64)
 
 
 def _simulate_one_frame(row, rng, buf):
@@ -576,7 +566,7 @@ def _simulate_one_frame(row, rng, buf):
     # the bits of y += the complex noise randn_complex would draw
     y.real += noise[0]
     y.imag += noise[1]
-    return row.detect(row, y, info, buf)
+    return _bit_errors(row.detect(row, y, info, buf), info["symbols"])
 
 
 def simulate_worst_user_ber(cfg, ch, n_frames, stream):

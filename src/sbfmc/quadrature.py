@@ -15,13 +15,11 @@ class QuadratureError(Exception):
     """Raised when the requested tolerance was not met; carries the best
     estimate and the achieved error bound."""
 
-    def __init__(self, estimate, error_bound, message=None):
+    def __init__(self, estimate, error_bound):
         self.estimate = estimate
         self.error_bound = error_bound
         super().__init__(
-            message
-            or f"quadrature did not converge: estimate {estimate}, error bound {error_bound}"
-        )
+            f"quadrature did not converge: estimate {estimate}, error bound {error_bound}")
 
 
 def _panel(f, a, b):

@@ -90,11 +90,11 @@ class ChannelSet:
             raise ValueError("all-zero channel")
 
 
-def psd_sqrt(w, rank_tol=RANK_TOL):
+def psd_sqrt(w):
     """Square-root factor B (N x r) with B B^H = W and r the numerical rank.
 
     W must be Hermitian PSD (symmetry residual <= 1e-10); eigenvalues below
-    rank_tol * lambda_max are treated as zero.
+    RANK_TOL * lambda_max are treated as zero.
     """
     w = np.asarray(w, dtype=np.complex128)
     if np.linalg.norm(w - w.conj().T) > 1e-10:
@@ -103,6 +103,6 @@ def psd_sqrt(w, rank_tol=RANK_TOL):
     lam_max = lam[-1]
     if lam_max <= 0:
         raise ValueError("covariance has no positive eigenvalue")
-    keep = lam > rank_tol * lam_max
+    keep = lam > RANK_TOL * lam_max
     b = v[:, keep] * np.sqrt(lam[keep])
     return b, int(keep.sum())

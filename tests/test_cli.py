@@ -368,6 +368,18 @@ def test_shipped_rates_config_all_certified(tmp_path):
         "7ba1c87b8f7930ffe0affc0344c67987b39bdd29f15eb0c2b9c3a2315e111074")
 
 
+@pytest.mark.parametrize("name, command, digest", [
+    ("verify", "verify", "1f97ac3529d1ecaa79cbc49fd43464ecfa72a82c545bcca4462deb3dea7fbe46"),
+    ("ber_sweep", "ber", "e2a8a36bc99229f6b986d9f0a716f5b07d810cfa5d573ffba168aa7d71ea9024"),
+])
+def test_shipped_config_output_pinned(tmp_path, name, command, digest):
+    # the full shipped output, byte for byte, as the install step of CI pins it
+    cfg_path = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    out_path = tmp_path / f"{name}.csv"
+    assert main([command, "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_missing_config_file(tmp_path):
     assert main(["gaps", "--config", str(tmp_path / "nope.cfg")]) == 2
 

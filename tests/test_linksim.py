@@ -139,8 +139,10 @@ class TestSlicer:
     @REAL_OR_COMPLEX
     @pytest.mark.parametrize("block", [1, 2])
     def test_counts_are_bit_errors_of_brute_force_decisions(self, con, real_scale, block):
-        # the detectors count in (L, M, T / L) cells, slot k of block j at
-        # [k, :, j], against one payload that every user is sent
+        # the weighted detector slices (L, M, T / L) cells, slot k of block j
+        # at [k, :, j], and returns their points laid out like the (T / L, L)
+        # sent indices with a leading user axis; the frame's one counter
+        # counts them against one payload that every user is sent
         rng = SeededStream(9, 5).generator()
         m, t = 5, 400
         scale = 10 ** rng.uniform(-2, 1, (m, t)) * np.exp(2j * np.pi * rng.uniform(size=(m, t)))
@@ -157,7 +159,8 @@ class TestSlicer:
                          for a in slicer_inputs(z, scale))
         buf = linksim._Buffers()
         cells = linksim._slice_cells(u_re, u_im, e, con, buf)
-        got = linksim._count_bit_errors(cells, sent.reshape(-1, block).T[:, None], con, buf)
+        decided = con.slicer.points[cells].transpose(1, 2, 0)
+        got = linksim._bit_errors(decided, sent.reshape(-1, block))
         assert got.dtype == np.int64 and got.tolist() == want
 
     @pytest.mark.parametrize("points", [
@@ -474,6 +477,23 @@ class TestFrames:
         if link.code is None:
             assert link.groups is None and link.rank is None
             assert link.block_length in (1, 2)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_noiseless_decisions_are_the_sent_indices(self, scheme):
+        # every detector returns decided point indices laid out like the
+        # sent info["symbols"], with a leading user axis; without noise
+        # each user decides what was sent, and the frame's counter counts 0
+        ch = sample_channel_set(4, 3, SeededStream(6, 19))
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 100.0, 96)
+        row = linksim._RowState(cfg, ch.channels)
+        rng = SeededStream(6, 20).generator()
+        x, info = row.encode(row, rng.integers(0, 2, row.n_bits, dtype=np.uint8), rng)
+        buf = linksim._Buffers()
+        decided = row.detect(row, ch.channels.conj() @ x, info, buf)
+        sent = info["symbols"]
+        assert decided.shape == (3, *sent.shape)
+        assert np.array_equal(decided, np.broadcast_to(sent, decided.shape))
+        assert linksim._bit_errors(decided, sent).tolist() == [0, 0, 0]
 
 
 class TestBerSimulation:

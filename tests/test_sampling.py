@@ -1,5 +1,6 @@
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,20 @@ def test_chunked_draws_keep_whole_array_bits(family):
             want = whole_array_sample(law, SeededStream(12, key).generator(), size)
             assert got.shape == want.shape == (size,)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (law, size)
+
+
+def test_high_rank_gamma_block_is_capped():
+    # a block holds at most GAMMA_BLOCK exponentials: 4096 rows (16 MB) at
+    # rank 512, where 2^16 rows would take 256 MB
+    law = gainlaws.GammaGain(512)
+    tracemalloc.start()
+    try:
+        draws = law.sample(SeededStream(12, 0).generator(), 2**16 + 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (2**16 + 2,) and np.all(draws > 0)
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 class TestGammaGain:
