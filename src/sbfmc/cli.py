@@ -24,8 +24,15 @@ Stream layout: channels draw from stream_id 0, one sub-stream per draw:
 realization j of the M-user population of `rates` from sub-stream
 M * 10^6 + j, the one `ber` channel per M from realization 0 of that
 population (sub-stream M * 10^6), and the `solve-cov` channel from
-sub-stream 0.  verify rows use stream_id (1 << 32) + row; BER rows use
-stream_id (2 << 32) + row with one sub-stream per frame.
+sub-stream 0.  verify rows use stream_id (1 << 32) + row.  The BER sweep of
+each M uses stream_id (2 << 32) + M, one sub-stream per frame f, split into
+lanes (Philox counter word 2): lane 0 holds the frame's noise, lane 1 one
+payload-bit draw of the longest count, of which each scheme takes its
+prefix, and lane 2 + i the weights of the i-th SCHEMES record.  Every
+scheme and power of a frame share its noise and bits, and every power a
+scheme's weights (common random numbers), so a BER row depends on (seed, M,
+scheme, power) and the shared keys, never on the other schemes or powers
+configured or on M's place in m_grid.
 """
 
 import argparse
@@ -45,7 +52,7 @@ from .schemes import SCHEMES
 LN2 = math.log(2.0)
 
 _VERIFY_ROW_BASE = 1 << 32
-_BER_ROW_BASE = 2 << 32
+_BER_STREAM_BASE = 2 << 32
 
 class ConfigError(Exception):
     pass
@@ -301,28 +308,27 @@ def cmd_verify(cfg):
 
 def cmd_ber(cfg):
     """Worst-user uncoded BER sweeps over the power grid for each scheme,
-    on one channel realization per M."""
+    on one channel realization per M, all on one frame loop per M."""
     header = ["scheme", "N", "M", "P_dB", "constellation", "worst_user_ber",
               "stderr", "bits", "status"]
     m_values = cfg.m_grid or [cfg.m]
     con = make_constellation(cfg.constellation)
     t_len = cfg.frame_length or (720 if con.name == "qam16" else 1440)
     schemes = [name for name, _ in _schemes(cfg, "ber")]
+    powers = [db_to_linear(p_db) for p_db in cfg.power_db]
     rows = []
-    row_idx = 0
     for m in m_values:
         ((ch, sol, _, _),) = _solve_realizations(cfg, m, [m * 1_000_000])
         status = "ok" if sol.converged else "noconv"
-        for p_db in cfg.power_db:
-            for scheme in schemes:
-                sim_cfg = SchemeConfig(
-                    scheme, sol.covariance, con, db_to_linear(p_db), t_len
-                )
-                stream = SeededStream(cfg.seed, _BER_ROW_BASE + row_idx)
-                res = linksim.simulate_worst_user_ber(sim_cfg, ch, cfg.n_frames, stream)
+        links = [SchemeConfig(scheme, sol.covariance, con, frame_length=t_len)
+                 for scheme in schemes]
+        sims = linksim.simulate_ber_sweep(links, powers, ch, cfg.n_frames,
+                                          SeededStream(cfg.seed, _BER_STREAM_BASE + m))
+        for j, p_db in enumerate(cfg.power_db):
+            for scheme, by_power in zip(schemes, sims):
+                res = by_power[j]
                 rows.append([scheme, cfg.n, m, p_db, con.name, res.worst_user_ber,
                              res.worst_user_stderr, res.bits_simulated, status])
-                row_idx += 1
     return _csv(header, rows), 0
 
 

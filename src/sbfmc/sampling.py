@@ -34,12 +34,16 @@ class SeededStream:
             np.random.Philox(key=[self.seed % 2**64, self.stream_id % 2**64])
         )
 
-    def substream(self, index):
-        """Generator for independent work unit ``index`` (disjoint Philox
-        counter block; each unit may draw up to 2^66 values)."""
+    def substream(self, index, lane=0):
+        """Generator for independent work unit ``index``, in one of its
+        lanes: ``index`` sets Philox counter word 1 and ``lane`` word 2, so
+        every (unit, lane) pair owns a disjoint counter block, from which it
+        may draw up to 2^66 values.  Lanes keep a unit's separate draws (a
+        BER frame's noise, payload bits and each scheme's weights) apart,
+        so that no draw moves when another changes length."""
         bg = np.random.Philox(
             key=[self.seed % 2**64, self.stream_id % 2**64],
-            counter=[0, int(index) + 1, 0, 0],
+            counter=[0, int(index) + 1, int(lane), 0],
         )
         return np.random.Generator(bg)
 

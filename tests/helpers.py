@@ -96,10 +96,10 @@ def detect_qostbc(y_blocks, g, constellation, power):
     Returns (B, 4) detected symbol indices.
     """
     searches = linksim._searches(schemes.SCHEMES["precoded_qostbc"].link, 4, constellation,
-                                 g.conj()[None, :], math.sqrt(power))[0]
+                                 g.conj()[None, :])[0]
     out = np.empty((y_blocks.shape[0], 4), dtype=np.int64)
     for pos, tuples, search in searches:
-        out[:, pos] = tuples[search.query(y_blocks)]
+        out[:, pos] = tuples[search.query(y_blocks / math.sqrt(power))]
     return out
 
 
@@ -131,7 +131,7 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream):
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     h = ch.channels
-    row = linksim._RowState(cfg, h)
+    row = linksim._SchemeState(cfg, h)
     p = cfg.power
     if row.fixed is not None:
         rate = np.log1p(p * _mean_branch_gain(row.draw_weights(None, 1), h)[0])
@@ -153,7 +153,7 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream):
 
 
 def weight_sampler(scheme, w):
-    """The BER row state of the weighted link scheme on the unit-trace
+    """The BER scheme state of the weighted link scheme on the unit-trace
     covariance w, as transmit_row builds it: its draw_weights draws the
     scheme's branches (two for an Alamouti scheme), and root and rank are
     those of w."""
@@ -250,18 +250,21 @@ def exp_integral_e1(x):
 
 
 def transmit_frame(cfg, bits, stream):
-    """Encode one frame of payload bits into the (N, T) transmit signal."""
+    """Encode one frame of payload bits into the (N, T) transmit signal at
+    cfg.power: the encoder's unit-power signal times sqrt(P)."""
     row = transmit_row(cfg)
     bits = np.asarray(bits)
     if bits.size != row.n_bits:
         raise ValueError(f"expected {row.n_bits} bits, got {bits.size}")
-    return row.encode(row, bits, stream.generator())[0]
+    x = row.encode(row, bits, stream.generator(), linksim._Buffers())[0]
+    return math.sqrt(cfg.power) * x
 
 
 def transmit_row(cfg):
-    """cfg's BER row state on one all-ones user channel: the transmit side
-    (bits per frame, encoder, weights) does not depend on the channel."""
-    return linksim._RowState(cfg, np.ones((1, cfg.covariance.entries.shape[0]), dtype=complex))
+    """cfg's BER scheme state on one all-ones user channel: the transmit
+    side (bits per frame, encoder, weights) does not depend on the channel."""
+    return linksim._SchemeState(cfg, np.ones((1, cfg.covariance.entries.shape[0]),
+                                              dtype=complex))
 
 
 def sample_exponential_vector(r, stream_or_rng, size=None):

@@ -272,11 +272,41 @@ class TestBer:
         assert [r["scheme"] for r in rows_of(text)[1]] == ["gauss_sbf"]
 
     def test_rerun_and_workers_byte_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SBF_THREADS", "1")
-        _, a = run_cli(tmp_path, "ber", self.CFG)
-        monkeypatch.setenv("SBF_THREADS", "8")
-        _, b = run_cli(tmp_path, "ber", self.CFG, name="e8.cfg")
-        assert a == b
+        # one sweep's 5 frames on 1, 2, 3 and 8 workers (uneven splits, and
+        # more workers than frames), weighted and precoded schemes together
+        cfg = self.CFG + ("schemes = bf, gauss_sbf, ellip_sbf_alamouti, precoded_sm\n"
+                          "n_frames = 5\n")
+        outs = []
+        for threads in ("1", "2", "3", "8", "1"):
+            monkeypatch.setenv("SBF_THREADS", threads)
+            code, text = run_cli(tmp_path, "ber", cfg, name=f"e{len(outs)}.cfg")
+            assert code == 0
+            outs.append(text)
+        assert all(out == outs[0] for out in outs[1:])
+
+    def test_rows_independent_of_the_rest_of_the_config(self, tmp_path):
+        # a row depends on (seed, M, scheme, power) only: gauss_sbf alone
+        # prints the rows it prints next to schemes with weights of their
+        # own and precoded_sm, whose rank-2 W* (M = 8, seed 1) makes it draw
+        # the frame's longer bit draw; and the M = 8 rows do not depend on
+        # m_grid's other entries or the scheme order
+        base = ("n = 4\npower_db = 4, 10\nconstellation = qpsk\nframe_length = 72\n"
+                "n_frames = 3\nseed = 1\n")
+        mixed_schemes = "bf, gauss_sbf, ellip_sbf_alamouti, precoded_sm"
+
+        def rows(cfg, name):
+            code, text = run_cli(tmp_path, "ber", base + cfg, name=name)
+            assert code == 0
+            return sorted(rows_of(text)[1], key=lambda r: (r["M"], r["scheme"], r["P_dB"]))
+
+        alone = rows("m = 8\nschemes = gauss_sbf\n", "alone.cfg")
+        mixed = rows(f"m = 8\nschemes = {mixed_schemes}\n", "mixed.cfg")
+        assert [r for r in mixed if r["scheme"] == "gauss_sbf"] == alone
+        assert {r["scheme"]: r["bits"] for r in mixed}["precoded_sm"] == "864"  # 3 x 288
+        grid = rows(f"m_grid = 4, 8\nschemes = {mixed_schemes}\n", "grid.cfg")
+        swapped = rows("m_grid = 8\nschemes = precoded_sm, ellip_sbf_alamouti, gauss_sbf, bf\n",
+                       "swapped.cfg")
+        assert [r for r in grid if r["M"] == "8"] == mixed == swapped
 
 
 class TestSolveCov:
@@ -370,7 +400,7 @@ def test_shipped_rates_config_all_certified(tmp_path):
 
 @pytest.mark.parametrize("name, command, digest", [
     ("verify", "verify", "1f97ac3529d1ecaa79cbc49fd43464ecfa72a82c545bcca4462deb3dea7fbe46"),
-    ("ber_sweep", "ber", "e2a8a36bc99229f6b986d9f0a716f5b07d810cfa5d573ffba168aa7d71ea9024"),
+    ("ber_sweep", "ber", "33714b2578f7bd7678fe2952babf167e1b2622ed048b3ba0ce11f3305d3f024c"),
 ])
 def test_shipped_config_output_pinned(tmp_path, name, command, digest):
     # the full shipped output, byte for byte, as the install step of CI pins it

@@ -13,6 +13,7 @@ from sbfmc.linksim import (
     SchemeConfig,
     bits_to_symbol_indices,
     make_constellation,
+    simulate_ber_sweep,
     simulate_worst_user_ber,
 )
 from sbfmc.sampling import ChannelSet, SeededStream
@@ -30,6 +31,9 @@ QAM16 = make_constellation("qam16")
 POLAR = Constellation("polar", np.exp(1j * np.pi / 4 * np.arange(1, 8, 2)))
 
 RANK4_COV = CovarianceMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+# rank 2: precoded_sm searches 16^2 16-QAM tuples and draws twice the bits
+# of a weighted scheme
+RANK2_COV = CovarianceMatrix(np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex))
 
 
 def qfunc(x):
@@ -77,7 +81,7 @@ def slicer_inputs(z, scale):
 
 def slice_points(z, scale, con):
     """Point index of the cell linksim._slice_cells decides for each entry."""
-    cells = linksim._slice_cells(*slicer_inputs(z, scale), con, linksim._Buffers())
+    cells = linksim._slice_cells(*slicer_inputs(z, scale), 1.0, con, linksim._Buffers())
     return con.slicer.points[cells]
 
 
@@ -158,7 +162,7 @@ class TestSlicer:
         u_re, u_im, e = (a.reshape(m, -1, block).transpose(2, 0, 1)
                          for a in slicer_inputs(z, scale))
         buf = linksim._Buffers()
-        cells = linksim._slice_cells(u_re, u_im, e, con, buf)
+        cells = linksim._slice_cells(u_re, u_im, e, 1.0, con, buf)
         decided = con.slicer.points[cells].transpose(1, 2, 0)
         got = linksim._bit_errors(decided, sent.reshape(-1, block))
         assert got.dtype == np.int64 and got.tolist() == want
@@ -485,11 +489,12 @@ class TestFrames:
         # each user decides what was sent, and the frame's counter counts 0
         ch = sample_channel_set(4, 3, SeededStream(6, 19))
         cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 100.0, 96)
-        row = linksim._RowState(cfg, ch.channels)
+        row = linksim._SchemeState(cfg, ch.channels)
         rng = SeededStream(6, 20).generator()
-        x, info = row.encode(row, rng.integers(0, 2, row.n_bits, dtype=np.uint8), rng)
         buf = linksim._Buffers()
-        decided = row.detect(row, ch.channels.conj() @ x, info, buf)
+        x, info = row.encode(row, rng.integers(0, 2, row.n_bits, dtype=np.uint8), rng, buf)
+        sp = math.sqrt(cfg.power)
+        decided = row.detect(row, sp * (ch.channels.conj() @ x), info, sp, buf)
         sent = info["symbols"]
         assert decided.shape == (3, *sent.shape)
         assert np.array_equal(decided, np.broadcast_to(sent, decided.shape))
@@ -520,6 +525,19 @@ class TestBerSimulation:
         se = math.sqrt(0.25 / res.bits_simulated)
         assert abs(res.worst_user_ber - 0.5) <= 4 * se, scheme
 
+    def test_zero_power_in_a_sweep_gives_coin_flips(self):
+        # P = 0 (power_db = -4000 in a config, say): every point is equally
+        # far, the precoded searches decide tuple 0 instead of querying
+        # y / 0, and every row runs next to its P > 0 rows
+        ch = sample_channel_set(4, 3, SeededStream(6, 25))
+        names = ("bf", "gauss_sbf_alamouti", "precoded_sm", "precoded_qostbc")
+        cfgs = [SchemeConfig(s, RANK4_COV, QPSK, frame_length=720) for s in names]
+        sims = simulate_ber_sweep(cfgs, [0.0, 100.0], ch, 4, SeededStream(6, 26))
+        for name, (zero, loud) in zip(names, sims):
+            se = math.sqrt(0.25 / zero.bits_simulated)
+            assert abs(zero.worst_user_ber - 0.5) <= 4 * se, name
+            assert loud.worst_user_ber < 0.3, name
+
     @pytest.mark.parametrize("scheme", ["gauss_sbf_alamouti", "precoded_sm", "precoded_qostbc"])
     def test_seed_determinism_across_workers(self, monkeypatch, scheme):
         # the precoded schemes' frame threads share each user's prebuilt search
@@ -534,18 +552,72 @@ class TestBerSimulation:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_counts_independent_of_worker_split(self, monkeypatch, scheme):
-        # uneven splits: frame f runs on worker f mod W, so 5 frames on 3
-        # workers, 8 on 3 and 5 on 8 (one frame each) all reuse buffers differently
+        # uneven splits: frame f runs on worker f mod W, so 5 frames on 2
+        # and 3 workers, 8 on 3 and 5 on 8 (one frame each) all reuse
+        # buffers differently, over the powers of one sweep and next to a
+        # scheme that fills the same buffer roles
         ch = sample_channel_set(4, 5, SeededStream(6, 13))
-        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 96)
+        other = "bf_alamouti" if scheme == "gauss_sbf" else "gauss_sbf"
+        cfgs = [SchemeConfig(s, RANK4_COV, QPSK, frame_length=96) for s in (scheme, other)]
 
         def per_user_ber(threads, n_frames):
             monkeypatch.setenv("SBF_THREADS", str(threads))
-            return simulate_worst_user_ber(cfg, ch, n_frames, SeededStream(6, 14)).per_user_ber
+            sims = simulate_ber_sweep(cfgs, [1.0, 6.0, 40.0], ch, n_frames, SeededStream(6, 14))
+            return np.array([[res.per_user_ber for res in by_power] for by_power in sims])
 
-        for threads, n_frames in ((3, 5), (3, 8), (8, 5)):
+        for threads, n_frames in ((2, 5), (3, 5), (3, 8), (8, 5)):
             assert np.array_equal(per_user_ber(1, n_frames), per_user_ber(threads, n_frames)), (
                 threads, n_frames)
+
+    def test_sweep_rows_match_one_row_runs(self):
+        # a (scheme, power) row of a sweep depends on neither its other
+        # schemes nor its other powers: every scheme takes a prefix of the
+        # frame's one bit draw (precoded_sm at rank 2 draws twice the bits
+        # of the others) and its weights from its own lane
+        ch = sample_channel_set(4, 4, SeededStream(6, 23))
+        cfgs = [SchemeConfig(s, RANK2_COV, QPSK, frame_length=48)
+                for s in ("precoded_sm", "gauss_sbf_alamouti", "bf", "ellip_sbf")]
+        powers = [0.5, 4.0, 30.0]
+        sims = simulate_ber_sweep(cfgs, powers, ch, 3, SeededStream(6, 24))
+        for cfg, by_power in zip(cfgs, sims):
+            for power, res in zip(powers, by_power):
+                one = simulate_worst_user_ber(dataclasses.replace(cfg, power=power), ch, 3,
+                                              SeededStream(6, 24))
+                assert one.bits_simulated == res.bits_simulated, (cfg.scheme, power)
+                assert np.array_equal(one.per_user_ber, res.per_user_ber), (cfg.scheme, power)
+
+    @pytest.mark.parametrize("con", [BPSK, QPSK, QAM16], ids=lambda con: con.name)
+    def test_decisions_monotone_in_power(self, con):
+        # with shared draws, a decision that is right at one power is right
+        # at every higher power: the sent point's decision region is convex
+        # and contains it (an interval per axis for the weighted schemes,
+        # the nearest-candidate cell of a whole block for precoded_sm), and
+        # the noise's share shrinks as 1 / sqrt(P).  precoded_qostbc's pair
+        # searches are no plain nearest-point decision, so the property is
+        # not claimed for it
+        ch = sample_channel_set(4, 5, SeededStream(6, 21))
+        names = [s for s in SCHEMES if s != "precoded_qostbc"]
+        cfgs = [SchemeConfig(s, RANK2_COV, con, frame_length=96) for s in names]
+        powers = list(10 ** (np.arange(-6, 24, 2) / 10))  # 15 powers, -6 to 22 dB
+        sweep = linksim._Sweep(cfgs, powers, ch.channels, SeededStream(6, 22))
+        right = [[[] for _ in powers] for _ in names]  # by scheme, then power
+        buf = linksim._Buffers()
+        for frame in range(2):
+            for i, j, decided, sent in sweep.decisions(frame, buf):
+                ok = decided == sent
+                right[i][j].extend((ok.all(axis=-1) if names[i] == "precoded_sm" else ok).ravel())
+        for name, by_power in zip(names, right):
+            r = np.array(by_power)
+            assert np.all(r[:-1] <= r[1:]), name  # right at P_j, so right at P_j+1
+            assert r[-1].sum() > r[0].sum(), name
+        if con is QAM16:
+            return  # Gray labels along an axis are not monotone in distance
+        # so on BPSK and QPSK every user's bit errors fall along the powers
+        sims = simulate_ber_sweep(cfgs, powers, ch, 2, SeededStream(6, 22))
+        for name, by_power in zip(names, sims):
+            errors = np.array([np.rint(res.per_user_ber * res.bits_simulated)
+                               for res in by_power])
+            assert np.all(np.diff(errors, axis=0) <= 0), name
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_one_covariance_root_per_row(self, monkeypatch, scheme):
@@ -614,11 +686,11 @@ class TestBerSimulation:
     def test_non_finite_observation_raises_through_prebuilt_search(self, scheme):
         ch = sample_channel_set(4, 2, SeededStream(6, 12))
         cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 8)
-        row = linksim._RowState(cfg, ch.channels)
+        row = linksim._SchemeState(cfg, ch.channels)
         y = np.zeros((2, 8), dtype=complex)
         y[1, 3] = np.inf
         with pytest.raises(ValueError):
-            row.detect(row, y, None, linksim._Buffers())
+            row.detect(row, y, None, 1.0, linksim._Buffers())
 
     def test_result_invariants(self):
         ch = sample_channel_set(4, 4, SeededStream(6, 4))
@@ -652,7 +724,7 @@ class TestRateEstimation:
         est, se = estimate_user_rates_mc(cfg, ch, 100, SeededStream(7, 6))
         assert np.all(se == 0.0)
         # fixed pair: combined branch gain enters at half power
-        row = linksim._RowState(cfg, ch.channels)
+        row = linksim._SchemeState(cfg, ch.channels)
         g = ch.channels.conj() @ row.fixed.T
         expected = np.log1p(5.0 * np.sum(np.abs(g) ** 2, axis=1))
         assert np.allclose(est, expected, atol=1e-12)

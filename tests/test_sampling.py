@@ -53,6 +53,21 @@ class TestSeededStream:
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
+    def test_substream_lanes(self):
+        # lane 0 is the substream of old, so no draw that names no lane
+        # moves; each lane of a unit, and each unit of a lane, is its own
+        # stream, and a short draw is the prefix of a long one in its lane
+        s = SeededStream(9, 9)
+        assert np.array_equal(s.substream(3, lane=0).standard_normal(8),
+                              s.substream(3).standard_normal(8))
+        draws = [s.substream(unit, lane=lane).standard_normal(8)
+                 for unit in (3, 4) for lane in (0, 1, 2)]
+        assert len({d.tobytes() for d in draws}) == len(draws)
+        bits = s.substream(3, lane=1).integers(0, 2, 1000, dtype=np.uint8)
+        for n in (1, 7, 288, 999):
+            assert np.array_equal(s.substream(3, lane=1).integers(0, 2, n, dtype=np.uint8),
+                                  bits[:n])
+
     @pytest.mark.parametrize("shape", [(1,), (37,), (16, 1440), (3, 5), (1, 1)])
     def test_randn_complex_matches_two_draw_formula(self, shape):
         # one (2, *shape) draw filled in place must reproduce, bit for bit,
@@ -69,10 +84,11 @@ class TestSeededStream:
 
     @pytest.mark.parametrize("shape", [(16, 1440), (3, 5)])
     def test_noise_planes_added_into_y_match_complex_noise(self, shape):
-        # the link simulator's frame path: the planes of fill_randn_planes
-        # added in place into y = h^H x must give the bits of
-        # y + randn_complex(...), and of y plus the two-draw formula's
-        # complex noise, and leave the stream at the same position
+        # the link simulator's frame path: the planes of fill_randn_planes,
+        # interleaved into one complex array and added into y = h^H x as
+        # floats, must give the bits of y + randn_complex(...), and of y
+        # plus the two-draw formula's complex noise, and leave the stream
+        # at the same position
         src = SeededStream(41, 2).generator()
         hx = sampling.randn_complex(src, *shape) * 10 ** src.uniform(-3, 3, shape)
         for seed in (0, 7, 20240801, 2**63 + 5):
@@ -80,8 +96,10 @@ class TestSeededStream:
             ref, two = SeededStream(seed, 3).generator(), SeededStream(seed, 3).generator()
             y = hx.copy()
             planes = sampling.fill_randn_planes(rng, np.empty((2, *shape)))
-            y.real += planes[0]
-            y.imag += planes[1]
+            interleaved = np.empty(shape, dtype=np.complex128)
+            interleaved.real = planes[0]
+            interleaved.imag = planes[1]
+            y.view(np.float64)[...] += interleaved.view(np.float64)
             noise = (two.standard_normal(shape) + 1j * two.standard_normal(shape)) / np.sqrt(2.0)
             for want in (hx + sampling.randn_complex(ref, *shape), hx + noise):
                 assert np.array_equal(y.view(np.float64), want.view(np.float64)), (seed, shape)
