@@ -5,11 +5,12 @@
 Commands: rates, gaps, verify, ber, solve-cov.  Configs are flat
 ``key = value`` text files (lists comma-separated, ``#`` comments); every
 command is a pure function of (config, seed) and emits CSV with 17
-significant digits, so reruns are byte-identical for any SBF_THREADS value.
-One exception: verify's bingham_phi draws at rank >= 15 can depend on the
-OpenBLAS thread count (each draw averages its rank exponentials in a
-BLAS matrix-vector product); at 33,333 draws this was seen at ranks 15,
-24, 40 and 150.  The shipped rank 3 is unaffected.
+significant digits, so reruns are byte-identical.  A seed is a u64, a
+Philox key word: a seed key or --seed outside [0, 2^64) is an input error.
+One exception to byte identity: verify's bingham_phi draws at rank >= 15
+can depend on the OpenBLAS thread count (each draw averages its rank
+exponentials in a BLAS matrix-vector product); at 33,333 draws this was
+seen at ranks 15, 24, 40 and 150.  The shipped rank 3 is unaffected.
 
 Exit codes: 0 all checks pass, 1 tolerance failure, 2 input error.
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import capacity, linksim, rates, sampling
 from .gainlaws import PointMassGain, truncation_point
-from .linksim import SchemeConfig, make_constellation, map_in_order, n_workers
+from .linksim import SchemeConfig, make_constellation
 from .quadrature import adaptive_gauss_legendre
 from .sampling import SeededStream
 from .schemes import SCHEMES
@@ -130,7 +131,15 @@ def parse_config(text):
         raise ConfigError("rho_min must be a finite positive number")
     if cfg.frame_length < 0:
         raise ConfigError("frame_length must be >= 0 (0 = constellation default)")
+    _check_seed(cfg.seed)
     return cfg
+
+
+def _check_seed(seed):
+    """seed, refused unless it is a u64 (see the module docstring)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
 
 
 def _fmt(x):
@@ -301,7 +310,7 @@ def cmd_verify(cfg):
     tasks = [(scheme, s.rate, s.rate.row_rank(scheme, cfg.rank), p_db)
              for scheme, s in _schemes(cfg, "verify")
              for p_db in (cfg.power_db[:1] if s.rate.rate is None else cfg.power_db)]
-    rows = map_in_order(lambda idx: _verify_row(cfg, *tasks[idx], idx), len(tasks))
+    rows = [_verify_row(cfg, *task, idx) for idx, task in enumerate(tasks)]
     code = 0 if all(row[-1] for row in rows) else 1
     return _csv(header, rows), code
 
@@ -370,13 +379,12 @@ def main(argv=None):
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
+        if args.seed is not None:
+            cfg.seed = _check_seed(args.seed)
     except (OSError, ConfigError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     try:
-        n_workers()  # a malformed SBF_THREADS is an input error for every command
         text, code = _COMMANDS[args.command](cfg)
     except (ConfigError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -13,7 +13,6 @@ scheme and power, and a scheme's weights by every power.
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,30 +26,6 @@ _ML_SEARCH_GUARD = 10**6
 # over all users: 2^22 one-slot precoded_sm rows take about 170 MB (42 B a row),
 # 2^22 four-slot QOSTBC rows about 380 MB (96 B a row)
 _ML_ROW_GUARD = 1 << 22
-
-
-def n_workers():
-    """Worker cap from the SBF_THREADS environment variable (default 1)."""
-    raw = os.environ.get("SBF_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"SBF_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def map_in_order(fn, n):
-    """[fn(0), ..., fn(n - 1)], on up to n_workers() threads when n > 1."""
-    workers = min(n_workers(), n)
-    if workers > 1:
-        # imported here, off the startup path
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(n)))
-    return [fn(i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +140,18 @@ def bits_to_symbol_indices(bits, constellation):
 @dataclass(frozen=True)
 class SchemeConfig:
     """One scheme's link: the scheme, the transmit covariance, the
-    constellation and the frame length T.  power is the SNR of a one-row
-    simulation (simulate_worst_user_ber); a sweep (simulate_ber_sweep)
-    takes its powers apart and does not read it."""
+    constellation and the frame length T; simulate_ber_sweep takes the
+    powers to run it at."""
 
     scheme: str
     covariance: CovarianceMatrix
     constellation: Constellation
-    power: float = 1.0
     frame_length: int = 1440
 
     def __post_init__(self):
         link = SCHEMES[self.scheme].link if self.scheme in SCHEMES else None
         if link is None:
             raise ValueError(f"unknown link scheme {self.scheme!r}")
-        if self.power < 0:
-            raise ValueError("power must be >= 0")
         blk = link.block_length
         if self.frame_length < 1 or self.frame_length % blk:
             raise ValueError(
@@ -197,10 +168,10 @@ class SimResult:
 
 
 class _Buffers:
-    """One frame worker's arrays, by role.  Each role keeps one block of
+    """A sweep's work arrays, by role.  Each role keeps one block of
     memory, grown to the largest request, and hands out a view of it in the
-    shape and dtype asked for, so every frame, scheme and power a worker
-    runs reuses the same pages, and the one-branch and Alamouti detectors
+    shape and dtype asked for, so every frame, scheme and power of a sweep
+    reuses the same pages, and the one-branch and Alamouti detectors
     share the blocks of the roles they both fill.  Two roles never share
     memory, and a role's array holds until the role is asked for again.  A
     fresh (M, T) temporary per frame goes back to the OS when it is freed,
@@ -271,7 +242,7 @@ def _all_tuples(n_symbols, size):
 
 class _CandidateSearch:
     """Exact nearest-candidate search over a fixed (K, L) complex candidate
-    set, built once and queried read-only (frame threads share it).
+    set, built once and queried read-only by every frame.
 
     A k-d tree (Bentley, CACM 1975) over the candidates viewed as real
     (K, 2L) rows measures the sum of squares sum_j |y[j] - cand[k, j]|^2,
@@ -337,16 +308,16 @@ def _searches(link, rank, constellation, gains):
 
 
 class _SchemeState:
-    """One scheme's read-only state in a sweep, built once before the frame
-    threads start and shared by them: cfg (its power is not read), the
-    (M, N) channels h, the root B and rank of the covariance (one
-    psd_sqrt), the payload bits per frame n_bits, the substream lane of the
-    scheme's weights (2 + its place in SCHEMES), and the scheme's frame
-    steps, chosen here from whether its code is None.  A weight law's
-    encode draws through draw_weights; the fixed law's gains, the same
-    every frame, are formed here once, (M, 1) per branch and broadcast over
-    the slots (see _branch_gains), and are None for a drawn law.  A code's
-    detect queries searches, every user's ML searches (see _searches).
+    """One scheme's read-only state in a sweep, built once before the first
+    frame and shared by every frame: cfg, the (M, N) channels h, the root B
+    and rank of the covariance (one psd_sqrt), the payload bits per frame
+    n_bits, the substream lane of the scheme's weights (2 + its place in
+    SCHEMES), and the scheme's frame steps, chosen here from whether its
+    code is None.  A weight law's encode draws through draw_weights; the
+    fixed law's gains, the same every frame, are formed here once, (M, 1)
+    per branch and broadcast over the slots (see _branch_gains), and are
+    None for a drawn law.  A code's detect queries searches, every user's
+    ML searches (see _searches).
 
     encode(row, bits, rng, buf) -> the (N, T) transmit signal at unit power
     and the frame's info: the sent point indices as info["symbols"],
@@ -357,7 +328,7 @@ class _SchemeState:
     from the (M, T) received signal y = sp * h^H x + noise at power sp^2,
     (M, T / L, k), laid out like info["symbols"]; the sweep counts their
     bit errors in that array (_bit_errors).  Its work arrays, the returned
-    one included, come from buf, the frame worker's _Buffers, and it may
+    one included, come from buf, the sweep's _Buffers, and it may
     overwrite y.
     """
 
@@ -562,7 +533,7 @@ def _bit_errors(decided, sent):
 
 
 class _Sweep:
-    """A BER sweep's read-only state, shared by the frame threads: one
+    """A BER sweep's read-only state, shared by its frames: one
     _SchemeState per scheme config (all of one frame length), every
     power's amplitude sqrt(P), the (M, N) channels h and the stream whose
     substreams key the frames.  n_bits is the longest payload of the
@@ -616,36 +587,24 @@ def _sim_result(errors, total_bits):
 
 def simulate_ber_sweep(cfgs, powers, ch, n_frames, stream):
     """Uncoded per-user and worst-user BER of every scheme config in cfgs
-    (their power is not read) at every power in powers, over n_frames
-    seeded multicast frames that they all share: common random numbers (see
+    at every power in powers (finite and >= 0), over n_frames seeded
+    multicast frames that they all share: common random numbers (see
     _Sweep.decisions).  Returns the SimResult of scheme i at power j as
     [i][j].
 
-    Frames are independent work units keyed by (stream, frame index) and
-    merged by integer error-count summation, so the result is identical
-    for any SBF_THREADS worker count.  Frame f runs on worker f mod W, with
-    W = min(SBF_THREADS, n_frames); each worker holds one _Buffers for
-    every frame, scheme and power it runs.
+    Frames are keyed by (stream, frame index) and run in order on one
+    _Buffers; their error counts are summed as integers.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
+    for p in powers:
+        if not (math.isfinite(p) and p >= 0):
+            raise ValueError(f"power must be finite and >= 0, got {p}")
     sweep = _Sweep(cfgs, powers, ch.channels, stream)
-    workers = min(n_workers(), n_frames)
-
-    def run(worker):
-        buf = _Buffers()
-        errors = np.zeros((len(cfgs), len(powers), ch.channels.shape[0]), dtype=np.int64)
-        for frame in range(worker, n_frames, workers):
-            for i, j, decided, sent in sweep.decisions(frame, buf):
-                errors[i, j] += _bit_errors(decided, sent)
-        return errors
-
-    errors = np.sum(map_in_order(run, workers), axis=0)
+    buf = _Buffers()
+    errors = np.zeros((len(cfgs), len(powers), ch.channels.shape[0]), dtype=np.int64)
+    for frame in range(n_frames):
+        for i, j, decided, sent in sweep.decisions(frame, buf):
+            errors[i, j] += _bit_errors(decided, sent)
     return [[_sim_result(e, row.n_bits * n_frames) for e in by_power]
             for row, by_power in zip(sweep.states, errors)]
-
-
-def simulate_worst_user_ber(cfg, ch, n_frames, stream):
-    """Uncoded per-user and worst-user BER of one scheme at cfg.power: the
-    one-scheme, one-power case of simulate_ber_sweep."""
-    return simulate_ber_sweep([cfg], [cfg.power], ch, n_frames, stream)[0][0]

@@ -4,7 +4,7 @@ and PSD square roots.
 Randomness is keyed, not sequential: every (seed, stream_id) pair owns a
 Philox counter-based stream, and independent work units (frames, grid rows,
 realizations) draw from sub-streams at disjoint counter blocks.  Results are
-therefore identical for any worker count and platform.
+therefore identical whatever order the units run in, on every platform.
 
 A complex Gaussian draw is two float planes of standard normals, each
 multiplied by fl(1/sqrt(2)) (fill_randn_planes).  That gives the bits of
@@ -30,9 +30,7 @@ class SeededStream:
 
     def generator(self):
         """Fresh numpy Generator positioned at the start of this stream."""
-        return np.random.Generator(
-            np.random.Philox(key=[self.seed % 2**64, self.stream_id % 2**64])
-        )
+        return np.random.Generator(np.random.Philox(key=self._key()))
 
     def substream(self, index, lane=0):
         """Generator for independent work unit ``index``, in one of its
@@ -41,11 +39,14 @@ class SeededStream:
         may draw up to 2^66 values.  Lanes keep a unit's separate draws (a
         BER frame's noise, payload bits and each scheme's weights) apart,
         so that no draw moves when another changes length."""
-        bg = np.random.Philox(
-            key=[self.seed % 2**64, self.stream_id % 2**64],
-            counter=[0, int(index) + 1, int(lane), 0],
-        )
+        bg = np.random.Philox(key=self._key(), counter=[0, int(index) + 1, int(lane), 0])
         return np.random.Generator(bg)
+
+    def _key(self):
+        """The Philox key (seed, stream_id), each mod 2^64, as exact uint64
+        words: numpy converts a list of Python ints through float64, which
+        rounds words of 2^63 and above."""
+        return np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
 
 
 def randn_complex(rng, *shape):

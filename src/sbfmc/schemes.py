@@ -47,7 +47,7 @@ class RateScheme:
 @dataclass(frozen=True)
 class LinkScheme:
     """How one scheme sends: the link half of a Scheme.  A scheme names
-    either a weight law or a code, and linksim._RowState picks the frame
+    either a weight law or a code, and linksim._SchemeState picks the frame
     steps from which.
 
     block_length: slots per code block; frame lengths are multiples of it
@@ -55,7 +55,7 @@ class LinkScheme:
     weights: the weight law, redrawn per block: "fixed" sends on the top
         block_length eigenvectors of W, power split by eigenvalue;
         "gauss_sbf" and "ellip_sbf" draw one weight per branch (see
-        linksim._RowState.draw_weights).  None for a code.
+        linksim._SchemeState.draw_weights).  None for a code.
     code: the code on the streams of the covariance root B: (B, rank)
         symbols -> (B, L, rank) blocks, slot by stream (rank symbols per
         block).  None for a weight law.

@@ -118,8 +118,8 @@ def _mean_branch_gain(weights, h):
     return sum(np.abs(w @ h.conj().T) ** 2 for w in weights) / len(weights)
 
 
-def estimate_user_rates_mc(cfg, ch, n_samples, stream):
-    """Per-user empirical ergodic rates E[log(1 + P |h^H w|^2)] (or the
+def estimate_user_rates_mc(cfg, p, ch, n_samples, stream):
+    """Per-user empirical ergodic rates E[log(1 + p |h^H w|^2)] (or the
     Alamouti-gain analog) with standard errors; the minimum over users
     estimates the multicast rate.
 
@@ -132,7 +132,6 @@ def estimate_user_rates_mc(cfg, ch, n_samples, stream):
         raise ValueError("n_samples must be >= 1")
     h = ch.channels
     row = linksim._SchemeState(cfg, h)
-    p = cfg.power
     if row.fixed is not None:
         rate = np.log1p(p * _mean_branch_gain(row.draw_weights(None, 1), h)[0])
         return rate, np.zeros_like(rate)
@@ -158,7 +157,7 @@ def weight_sampler(scheme, w):
     scheme's branches (two for an Alamouti scheme), and root and rank are
     those of w."""
     return transmit_row(linksim.SchemeConfig(scheme, capacity.CovarianceMatrix(w),
-                                             linksim.make_constellation("qpsk"), 1.0))
+                                             linksim.make_constellation("qpsk")))
 
 
 def stable_seed(key):
@@ -249,15 +248,15 @@ def exp_integral_e1(x):
     return np.array([_e1(float(v)) for v in x.flat]).reshape(x.shape)
 
 
-def transmit_frame(cfg, bits, stream):
+def transmit_frame(cfg, power, bits, stream):
     """Encode one frame of payload bits into the (N, T) transmit signal at
-    cfg.power: the encoder's unit-power signal times sqrt(P)."""
+    power P: the encoder's unit-power signal times sqrt(P)."""
     row = transmit_row(cfg)
     bits = np.asarray(bits)
     if bits.size != row.n_bits:
         raise ValueError(f"expected {row.n_bits} bits, got {bits.size}")
     x = row.encode(row, bits, stream.generator(), linksim._Buffers())[0]
-    return math.sqrt(cfg.power) * x
+    return math.sqrt(power) * x
 
 
 def transmit_row(cfg):

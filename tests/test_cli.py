@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -104,13 +105,6 @@ class TestVerify:
     def test_rerun_byte_identical(self, tmp_path):
         _, a = run_cli(tmp_path, "verify", self.CFG)
         _, b = run_cli(tmp_path, "verify", self.CFG, name="exp2.cfg")
-        assert a == b
-
-    def test_workers_byte_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SBF_THREADS", "1")
-        _, a = run_cli(tmp_path, "verify", self.CFG)
-        monkeypatch.setenv("SBF_THREADS", "8")
-        _, b = run_cli(tmp_path, "verify", self.CFG, name="exp8.cfg")
         assert a == b
 
     def test_n_samples_floor(self, tmp_path):
@@ -271,18 +265,14 @@ class TestBer:
         assert code == 0
         assert [r["scheme"] for r in rows_of(text)[1]] == ["gauss_sbf"]
 
-    def test_rerun_and_workers_byte_identical(self, tmp_path, monkeypatch):
-        # one sweep's 5 frames on 1, 2, 3 and 8 workers (uneven splits, and
-        # more workers than frames), weighted and precoded schemes together
+    def test_rerun_byte_identical(self, tmp_path):
+        # weighted and precoded schemes together
         cfg = self.CFG + ("schemes = bf, gauss_sbf, ellip_sbf_alamouti, precoded_sm\n"
                           "n_frames = 5\n")
-        outs = []
-        for threads in ("1", "2", "3", "8", "1"):
-            monkeypatch.setenv("SBF_THREADS", threads)
-            code, text = run_cli(tmp_path, "ber", cfg, name=f"e{len(outs)}.cfg")
-            assert code == 0
-            outs.append(text)
-        assert all(out == outs[0] for out in outs[1:])
+        code_a, a = run_cli(tmp_path, "ber", cfg)
+        code_b, b = run_cli(tmp_path, "ber", cfg, name="exp2.cfg")
+        assert code_a == code_b == 0
+        assert a == b
 
     def test_rows_independent_of_the_rest_of_the_config(self, tmp_path):
         # a row depends on (seed, M, scheme, power) only: gauss_sbf alone
@@ -481,6 +471,7 @@ def test_rank_below_scheme_minimum_reports_input_error(tmp_path, capsys, command
     "frame_length = -1",
     "m_grid = -3", "m_grid = 0", "m_grid = 2, 0, 8",
     "rho_min = inf", "rho_min = nan", "rho_min = 0", "rho_min = -1",
+    "seed = -1", "seed = 18446744073709551616",
 ])
 def test_out_of_range_value_reports_input_error(tmp_path, capsys, line):
     # each of these once ran and printed nan or noconv rows, or failed deep
@@ -490,6 +481,19 @@ def test_out_of_range_value_reports_input_error(tmp_path, capsys, line):
     code, text = run_cli(tmp_path, "rates", f"m = 2\nn_realizations = 1\n{line}\n")
     assert (code, text) == (2, "")
     assert line.split(" =")[0] in capsys.readouterr().err
+
+
+def test_seed_option_outside_u64_reports_input_error(tmp_path, capsys):
+    # a seed is a Philox key word: 2^64 - 1 runs, and with warnings as
+    # errors, since the key no longer passes through float64
+    cfg = "n = 4\nm = 2\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, "solve-cov", cfg, seed=2**64 - 1)[0] == 0
+    for seed in (-1, 2**64):
+        (tmp_path / str(seed)).mkdir()
+        assert run_cli(tmp_path / str(seed), "solve-cov", cfg, seed=seed) == (2, ""), seed
+        assert "seed" in capsys.readouterr().err, seed
 
 
 @pytest.mark.parametrize("rank, power_db", [(200, 10), (40, -20)])
@@ -516,15 +520,6 @@ def test_non_finite_elliptic_beta_reports_input_error(tmp_path, capsys, scheme):
     assert "rank 3" in err and "power 1e+308" in err
 
 
-@pytest.mark.parametrize("command, config", [("ber", TestBer.CFG), ("gaps", "power_db = 0, 10\n")])
-def test_malformed_sbf_threads_reports_input_error(tmp_path, monkeypatch, capsys, command, config):
-    assert run_cli(tmp_path, command, config)[0] == 0
-    for threads in ("abc", "0", "-3"):  # not an integer, or fewer than one worker
-        monkeypatch.setenv("SBF_THREADS", threads)
-        assert run_cli(tmp_path, command, config, name="bad.cfg")[0] == 2, threads
-        assert "SBF_THREADS" in capsys.readouterr().err, threads
-
-
 def run_fresh(code, **env):
     """stdout of `code` run in a new interpreter that imports this sbfmc."""
     src = str(pathlib.Path(sbfmc.__file__).resolve().parent.parent)
@@ -544,13 +539,11 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert run_fresh(code).strip() == "[]"
 
 
-def test_import_leaves_thread_pool_and_fractions_unloaded():
-    # concurrent.futures (frame workers) and fractions (exact harmonic
-    # numbers) are imported where they are used, off the startup path
-    code = ("import sys, sbfmc.cli\n"
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'fractions')))")
-    assert run_fresh(code).strip() == "[]"
+def test_import_leaves_fractions_unloaded():
+    # fractions (exact harmonic numbers) is imported where it is used, off
+    # the startup path
+    code = "import sys, sbfmc.cli\nprint('fractions' in sys.modules)"
+    assert run_fresh(code).strip() == "False"
 
 
 def test_no_command_loads_scipy_special(tmp_path):
@@ -570,21 +563,3 @@ def test_no_command_loads_scipy_special(tmp_path):
             f"print([sbfmc.cli.main(argv) for argv in {calls!r}])\n"
             "print('scipy.special' in sys.modules)\n")
     assert run_fresh(code).split("\n")[:2] == ["[0, 0, 0, 0, 0]", "False"]
-
-
-def test_verify_in_frame_threads_leaves_scipy_special_unloaded(tmp_path):
-    # verify's rows run in worker threads when SBF_THREADS > 1; the
-    # bingham_phi row's quadrature limit comes from GammaGain.tail, in math
-    cfg = tmp_path / "verify.cfg"
-    cfg.write_text(TestVerify.CFG)
-    outs = {}
-    for threads in ("4", "1"):
-        out = tmp_path / f"verify{threads}.csv"
-        argv = ["verify", "--config", str(cfg), "--out", str(out)]
-        code = ("import sys, sbfmc.cli\n"
-                "assert 'scipy.special' not in sys.modules\n"
-                f"print(sbfmc.cli.main({argv!r}))\n"
-                "print('scipy.special' in sys.modules)\n")
-        assert run_fresh(code, SBF_THREADS=threads).split("\n")[:2] == ["0", "False"]
-        outs[threads] = out.read_bytes()
-    assert outs["4"] == outs["1"]

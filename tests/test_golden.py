@@ -14,7 +14,7 @@ import pytest
 
 from sbfmc.capacity import CovarianceMatrix
 from sbfmc.cli import main
-from sbfmc.linksim import SchemeConfig, make_constellation, simulate_worst_user_ber
+from sbfmc.linksim import SchemeConfig, make_constellation, simulate_ber_sweep
 from sbfmc.sampling import SeededStream
 from sbfmc.schemes import SCHEMES
 
@@ -90,8 +90,8 @@ def test_simulator_error_count_digest():
     ch = sample_channel_set(4, 5, SeededStream(12, 0))
     lines = []
     for k, (scheme, con_name) in enumerate(SIM_CASES):
-        cfg = SchemeConfig(scheme, RANK4_COV, make_constellation(con_name), 4.0, 144)
-        res = simulate_worst_user_ber(cfg, ch, 2, SeededStream(12, 1 + k))
+        cfg = SchemeConfig(scheme, RANK4_COV, make_constellation(con_name), 144)
+        res = simulate_ber_sweep([cfg], [4.0], ch, 2, SeededStream(12, 1 + k))[0][0]
         errors = [int(round(b * res.bits_simulated)) for b in res.per_user_ber]
         lines.append(f"{scheme},{con_name},{res.bits_simulated},{errors}")
     assert sha256("\n".join(lines)) == SIM_DIGEST
@@ -101,8 +101,8 @@ def test_precoded_sm_rank3_error_count_digest():
     ch = sample_channel_set(4, 5, SeededStream(13, 0))
     lines = []
     for k, power in enumerate(RANK3_POWERS):
-        cfg = SchemeConfig("precoded_sm", RANK3_COV, make_constellation("qam16"), power, 144)
-        res = simulate_worst_user_ber(cfg, ch, 2, SeededStream(13, 1 + k))
+        cfg = SchemeConfig("precoded_sm", RANK3_COV, make_constellation("qam16"), 144)
+        res = simulate_ber_sweep([cfg], [power], ch, 2, SeededStream(13, 1 + k))[0][0]
         errors = [int(round(b * res.bits_simulated)) for b in res.per_user_ber]
         lines.append(f"{power},{res.bits_simulated},{errors}")
     assert sha256("\n".join(lines)) == SM_RANK3_DIGEST

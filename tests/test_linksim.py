@@ -14,7 +14,6 @@ from sbfmc.linksim import (
     bits_to_symbol_indices,
     make_constellation,
     simulate_ber_sweep,
-    simulate_worst_user_ber,
 )
 from sbfmc.sampling import ChannelSet, SeededStream
 
@@ -176,12 +175,13 @@ class TestSlicer:
         with pytest.raises(ValueError, match="handmade"):
             con.slicer
         ch = single_user_channel()
-        cfg = SchemeConfig("bf", RANK4_COV, con, 1.0, 8)
+        cfg = SchemeConfig("bf", RANK4_COV, con, 8)
         with pytest.raises(ValueError, match="handmade"):
-            simulate_worst_user_ber(cfg, ch, 1, SeededStream(9, 2))
+            simulate_ber_sweep([cfg], [1.0], ch, 1, SeededStream(9, 2))
         # the precoded schemes search exhaustively and take any constellation
-        cfg = SchemeConfig("precoded_sm", RANK4_COV, con, 1.0, 8)
-        assert simulate_worst_user_ber(cfg, ch, 1, SeededStream(9, 3)).bits_simulated > 0
+        cfg = SchemeConfig("precoded_sm", RANK4_COV, con, 8)
+        res = simulate_ber_sweep([cfg], [1.0], ch, 1, SeededStream(9, 3))[0][0]
+        assert res.bits_simulated > 0
 
     def test_one_point_constellation_refused(self):
         # one point carries no bits: its frames would divide by zero bits
@@ -429,22 +429,21 @@ class TestFrames:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_transmit_power(self, scheme):
         con = BPSK if scheme == "precoded_sm" else QPSK
-        cfg = SchemeConfig(scheme, RANK4_COV, con, 10.0, frame_length=15000
-                           if scheme != "precoded_qostbc" else 15000)
+        cfg = SchemeConfig(scheme, RANK4_COV, con, frame_length=15000)
         stream = SeededStream(5, SCHEMES.index(scheme))
         bits_rng = stream.generator()
         bits = bits_rng.integers(0, 2, transmit_row(cfg).n_bits,
                                  dtype=np.uint8)
-        x = transmit_frame(cfg, bits, SeededStream(5, 100))
+        x = transmit_frame(cfg, 10.0, bits, SeededStream(5, 100))
         pw = float(np.mean(np.sum(np.abs(x) ** 2, axis=0)))
         assert abs(pw - 10.0) <= 0.02 * 10.0, scheme
 
     def test_beamforming_bpsk_signal(self):
         w = np.zeros((4, 4), dtype=complex)
         w[0, 0] = 1.0
-        cfg = SchemeConfig("bf", CovarianceMatrix(w), BPSK, 4.0, frame_length=8)
+        cfg = SchemeConfig("bf", CovarianceMatrix(w), BPSK, frame_length=8)
         bits = np.array([0, 1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
-        x = transmit_frame(cfg, bits, SeededStream(5, 200))
+        x = transmit_frame(cfg, 4.0, bits, SeededStream(5, 200))
         expected_row0 = 2.0 * BPSK.points[bits_to_symbol_indices(bits, BPSK)]
         assert np.allclose(np.abs(x[0]), 2.0)
         assert np.allclose(x[1:], 0.0)
@@ -452,24 +451,24 @@ class TestFrames:
 
     def test_precoded_sm_identity_precoder(self):
         cfg = SchemeConfig(
-            "precoded_sm", CovarianceMatrix(np.eye(4, dtype=complex) / 4), BPSK, 4.0,
+            "precoded_sm", CovarianceMatrix(np.eye(4, dtype=complex) / 4), BPSK,
             frame_length=6,
         )
         bits = np.zeros(24, dtype=np.uint8)
-        x = transmit_frame(cfg, bits, SeededStream(5, 201))
+        x = transmit_frame(cfg, 4.0, bits, SeededStream(5, 201))
         # B = I/2 up to a unitary; all-zero bits map to the first point
         assert np.allclose(np.sum(np.abs(x) ** 2, axis=0), 4.0, atol=1e-12)
 
     def test_bit_length_mismatch(self):
-        cfg = SchemeConfig("bf", RANK4_COV, QPSK, 1.0, frame_length=10)
+        cfg = SchemeConfig("bf", RANK4_COV, QPSK, frame_length=10)
         with pytest.raises(ValueError, match="bits"):
-            transmit_frame(cfg, np.zeros(7, dtype=np.uint8), SeededStream(5, 202))
+            transmit_frame(cfg, 1.0, np.zeros(7, dtype=np.uint8), SeededStream(5, 202))
 
     def test_frame_length_divisibility(self):
         with pytest.raises(ValueError):
-            SchemeConfig("gauss_sbf_alamouti", RANK4_COV, QPSK, 1.0, frame_length=7)
+            SchemeConfig("gauss_sbf_alamouti", RANK4_COV, QPSK, frame_length=7)
         with pytest.raises(ValueError):
-            SchemeConfig("precoded_qostbc", RANK4_COV, QPSK, 1.0, frame_length=10)
+            SchemeConfig("precoded_qostbc", RANK4_COV, QPSK, frame_length=10)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_scheme_entry_is_a_weight_law_or_a_code(self, scheme):
@@ -488,12 +487,12 @@ class TestFrames:
         # sent info["symbols"], with a leading user axis; without noise
         # each user decides what was sent, and the frame's counter counts 0
         ch = sample_channel_set(4, 3, SeededStream(6, 19))
-        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 100.0, 96)
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 96)
         row = linksim._SchemeState(cfg, ch.channels)
         rng = SeededStream(6, 20).generator()
         buf = linksim._Buffers()
         x, info = row.encode(row, rng.integers(0, 2, row.n_bits, dtype=np.uint8), rng, buf)
-        sp = math.sqrt(cfg.power)
+        sp = 10.0
         decided = row.detect(row, sp * (ch.channels.conj() @ x), info, sp, buf)
         sent = info["symbols"]
         assert decided.shape == (3, *sent.shape)
@@ -509,8 +508,8 @@ class TestBerSimulation:
         w[0, 0] = 1.0
         for p_db in (0.0, 4.0, 8.0):
             power = 10 ** (p_db / 10)
-            cfg = SchemeConfig("bf", CovarianceMatrix(w), QPSK, power, 1440)
-            res = simulate_worst_user_ber(cfg, ch, 40, SeededStream(42, 1))
+            cfg = SchemeConfig("bf", CovarianceMatrix(w), QPSK, 1440)
+            res = simulate_ber_sweep([cfg], [power], ch, 40, SeededStream(42, 1))[0][0]
             analytic = qfunc(math.sqrt(power))
             se = math.sqrt(analytic * (1 - analytic) / res.bits_simulated)
             assert abs(res.worst_user_ber - analytic) <= 3 * se, p_db
@@ -520,8 +519,8 @@ class TestBerSimulation:
     def test_zero_power_gives_coin_flip(self, scheme):
         ch = sample_channel_set(4, 3, SeededStream(6, 0))
         con = BPSK if scheme == "precoded_sm" else QPSK
-        cfg = SchemeConfig(scheme, RANK4_COV, con, 1e-12, frame_length=1440)
-        res = simulate_worst_user_ber(cfg, ch, 4, SeededStream(6, 1))
+        cfg = SchemeConfig(scheme, RANK4_COV, con, frame_length=1440)
+        res = simulate_ber_sweep([cfg], [1e-12], ch, 4, SeededStream(6, 1))[0][0]
         se = math.sqrt(0.25 / res.bits_simulated)
         assert abs(res.worst_user_ber - 0.5) <= 4 * se, scheme
 
@@ -538,36 +537,43 @@ class TestBerSimulation:
             assert abs(zero.worst_user_ber - 0.5) <= 4 * se, name
             assert loud.worst_user_ber < 0.3, name
 
-    @pytest.mark.parametrize("scheme", ["gauss_sbf_alamouti", "precoded_sm", "precoded_qostbc"])
-    def test_seed_determinism_across_workers(self, monkeypatch, scheme):
-        # the precoded schemes' frame threads share each user's prebuilt search
-        ch = sample_channel_set(4, 5, SeededStream(6, 2))
-        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 288)
-        monkeypatch.setenv("SBF_THREADS", "1")
-        res1 = simulate_worst_user_ber(cfg, ch, 8, SeededStream(6, 3))
-        monkeypatch.setenv("SBF_THREADS", "8")
-        res8 = simulate_worst_user_ber(cfg, ch, 8, SeededStream(6, 3))
-        assert np.array_equal(res1.per_user_ber, res8.per_user_ber)
-        assert res1.worst_user_ber == res8.worst_user_ber
-
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_counts_independent_of_worker_split(self, monkeypatch, scheme):
-        # uneven splits: frame f runs on worker f mod W, so 5 frames on 2
-        # and 3 workers, 8 on 3 and 5 on 8 (one frame each) all reuse
-        # buffers differently, over the powers of one sweep and next to a
-        # scheme that fills the same buffer roles
+    def test_counts_independent_of_worker_split(self, scheme):
+        # a sweep runs every frame, scheme and power on one _Buffers: its
+        # counts are those of a fresh _Buffers per frame, over the powers of
+        # one sweep and next to a scheme that fills the same buffer roles
         ch = sample_channel_set(4, 5, SeededStream(6, 13))
         other = "bf_alamouti" if scheme == "gauss_sbf" else "gauss_sbf"
         cfgs = [SchemeConfig(s, RANK4_COV, QPSK, frame_length=96) for s in (scheme, other)]
+        powers = [1.0, 6.0, 40.0]
+        sweep = linksim._Sweep(cfgs, powers, ch.channels, SeededStream(6, 14))
 
-        def per_user_ber(threads, n_frames):
-            monkeypatch.setenv("SBF_THREADS", str(threads))
-            sims = simulate_ber_sweep(cfgs, [1.0, 6.0, 40.0], ch, n_frames, SeededStream(6, 14))
-            return np.array([[res.per_user_ber for res in by_power] for by_power in sims])
+        def counts(fresh):
+            errors = np.zeros((len(cfgs), len(powers), 5), dtype=np.int64)
+            shared = linksim._Buffers()
+            for frame in range(5):
+                buf = linksim._Buffers() if fresh else shared
+                for i, j, decided, sent in sweep.decisions(frame, buf):
+                    errors[i, j] += linksim._bit_errors(decided, sent)
+            return errors
 
-        for threads, n_frames in ((2, 5), (3, 5), (3, 8), (8, 5)):
-            assert np.array_equal(per_user_ber(1, n_frames), per_user_ber(threads, n_frames)), (
-                threads, n_frames)
+        errors = counts(fresh=True)
+        assert np.array_equal(errors, counts(fresh=False))
+        sims = simulate_ber_sweep(cfgs, powers, ch, 5, SeededStream(6, 14))
+        for e, by_power in zip(errors, sims):
+            for e_j, res in zip(e, by_power):
+                assert np.array_equal(e_j / res.bits_simulated, res.per_user_ber)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -1.0])
+    def test_bad_power_refused(self, power):
+        # one-branch, Alamouti and precoded rows: a NaN power would print
+        # coin-flip BERs, an infinite one BERs with RuntimeWarnings, and a
+        # negative one a bare math domain error
+        ch = sample_channel_set(4, 3, SeededStream(6, 27))
+        cfgs = [SchemeConfig(s, RANK4_COV, QPSK, frame_length=8)
+                for s in ("gauss_sbf", "bf_alamouti", "precoded_sm")]
+        with pytest.raises(ValueError, match=f"power .*got {power}"):
+            simulate_ber_sweep(cfgs, [4.0, power], ch, 1, SeededStream(6, 28))
 
     def test_sweep_rows_match_one_row_runs(self):
         # a (scheme, power) row of a sweep depends on neither its other
@@ -581,8 +587,7 @@ class TestBerSimulation:
         sims = simulate_ber_sweep(cfgs, powers, ch, 3, SeededStream(6, 24))
         for cfg, by_power in zip(cfgs, sims):
             for power, res in zip(powers, by_power):
-                one = simulate_worst_user_ber(dataclasses.replace(cfg, power=power), ch, 3,
-                                              SeededStream(6, 24))
+                one = simulate_ber_sweep([cfg], [power], ch, 3, SeededStream(6, 24))[0][0]
                 assert one.bits_simulated == res.bits_simulated, (cfg.scheme, power)
                 assert np.array_equal(one.per_user_ber, res.per_user_ber), (cfg.scheme, power)
 
@@ -632,8 +637,8 @@ class TestBerSimulation:
         monkeypatch.setattr(sampling, "psd_sqrt", counting_sqrt)
         monkeypatch.setattr(linksim, "psd_sqrt", counting_sqrt)
         ch = sample_channel_set(4, 3, SeededStream(6, 17))
-        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 8)
-        simulate_worst_user_ber(cfg, ch, 2, SeededStream(6, 18))
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 8)
+        simulate_ber_sweep([cfg], [6.0], ch, 2, SeededStream(6, 18))
         assert len(roots) == 1
 
     @pytest.mark.parametrize("scheme, trees_per_user", [("precoded_sm", 1),
@@ -641,10 +646,9 @@ class TestBerSimulation:
     @pytest.mark.parametrize("n_frames", [1, 4])
     def test_searches_built_once_per_row(self, monkeypatch, scheme, trees_per_user, n_frames):
         built = count_tree_builds(monkeypatch)
-        monkeypatch.setenv("SBF_THREADS", "2")
         ch = sample_channel_set(4, 5, SeededStream(6, 8))
-        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 288)
-        simulate_worst_user_ber(cfg, ch, n_frames, SeededStream(6, 9))
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 288)
+        simulate_ber_sweep([cfg], [6.0], ch, n_frames, SeededStream(6, 9))
         assert built == [trees_per_user * 5]
 
     @pytest.mark.parametrize("n_users", [2, 5])
@@ -662,8 +666,8 @@ class TestBerSimulation:
         monkeypatch.setitem(schemes.SCHEMES, "precoded_qostbc",
                             dataclasses.replace(schemes.SCHEMES["precoded_qostbc"], link=counting))
         ch = sample_channel_set(4, n_users, SeededStream(6, 15))
-        cfg = SchemeConfig("precoded_qostbc", RANK4_COV, QPSK, 6.0, 288)
-        simulate_worst_user_ber(cfg, ch, 3, SeededStream(6, 16))
+        cfg = SchemeConfig("precoded_qostbc", RANK4_COV, QPSK, 288)
+        simulate_ber_sweep([cfg], [6.0], ch, 3, SeededStream(6, 16))
         assert sorted(encoded) == [16, 16, 72, 72, 72]
 
     @pytest.mark.parametrize("scheme, n_users", [("precoded_sm", 65),
@@ -672,9 +676,9 @@ class TestBerSimulation:
         # 65 * 16^4 and 2 * 8193 * 16^2 candidate rows are just over 2^22
         built = count_tree_builds(monkeypatch)
         ch = sample_channel_set(4, n_users, SeededStream(6, 10))
-        cfg = SchemeConfig(scheme, RANK4_COV, QAM16, 6.0, 4)
+        cfg = SchemeConfig(scheme, RANK4_COV, QAM16, 4)
         with pytest.raises(ValueError, match="guard"):
-            simulate_worst_user_ber(cfg, ch, 1, SeededStream(6, 11))
+            simulate_ber_sweep([cfg], [6.0], ch, 1, SeededStream(6, 11))
         assert built == [0]
 
     def test_search_row_guard_boundary(self):
@@ -685,7 +689,7 @@ class TestBerSimulation:
     @pytest.mark.parametrize("scheme", ["precoded_sm", "precoded_qostbc"])
     def test_non_finite_observation_raises_through_prebuilt_search(self, scheme):
         ch = sample_channel_set(4, 2, SeededStream(6, 12))
-        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 6.0, 8)
+        cfg = SchemeConfig(scheme, RANK4_COV, QPSK, 8)
         row = linksim._SchemeState(cfg, ch.channels)
         y = np.zeros((2, 8), dtype=complex)
         y[1, 3] = np.inf
@@ -694,25 +698,25 @@ class TestBerSimulation:
 
     def test_result_invariants(self):
         ch = sample_channel_set(4, 4, SeededStream(6, 4))
-        cfg = SchemeConfig("ellip_sbf", RANK4_COV, QPSK, 4.0, 288)
-        res = simulate_worst_user_ber(cfg, ch, 3, SeededStream(6, 5))
+        cfg = SchemeConfig("ellip_sbf", RANK4_COV, QPSK, 288)
+        res = simulate_ber_sweep([cfg], [4.0], ch, 3, SeededStream(6, 5))[0][0]
         assert res.worst_user_ber == res.per_user_ber.max()
         assert np.all((res.per_user_ber >= 0) & (res.per_user_ber <= 1))
         assert res.bits_simulated == 3 * 288 * 2
 
     def test_qostbc_rank_check(self):
         w = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        cfg = SchemeConfig("precoded_qostbc", CovarianceMatrix(w), BPSK, 1.0, 8)
+        cfg = SchemeConfig("precoded_qostbc", CovarianceMatrix(w), BPSK, 8)
         ch = sample_channel_set(4, 2, SeededStream(6, 6))
         with pytest.raises(ValueError, match="rank"):
-            simulate_worst_user_ber(cfg, ch, 1, SeededStream(6, 7))
+            simulate_ber_sweep([cfg], [1.0], ch, 1, SeededStream(6, 7))
 
 
 class TestRateEstimation:
     def test_beamforming_exact_zero_variance(self):
         ch = sample_channel_set(4, 5, SeededStream(7, 0))
-        cfg = SchemeConfig("bf", RANK4_COV, QPSK, 10.0)
-        est, se = estimate_user_rates_mc(cfg, ch, 100, SeededStream(7, 1))
+        cfg = SchemeConfig("bf", RANK4_COV, QPSK)
+        est, se = estimate_user_rates_mc(cfg, 10.0, ch, 100, SeededStream(7, 1))
         lam, v = np.linalg.eigh(RANK4_COV.entries)
         expected = np.log1p(10.0 * np.abs(ch.channels.conj() @ v[:, -1]) ** 2)
         assert np.allclose(est, expected, atol=1e-12)
@@ -720,8 +724,8 @@ class TestRateEstimation:
 
     def test_bf_alamouti_exact_zero_variance(self):
         ch = sample_channel_set(4, 5, SeededStream(7, 5))
-        cfg = SchemeConfig("bf_alamouti", RANK4_COV, QPSK, 10.0)
-        est, se = estimate_user_rates_mc(cfg, ch, 100, SeededStream(7, 6))
+        cfg = SchemeConfig("bf_alamouti", RANK4_COV, QPSK)
+        est, se = estimate_user_rates_mc(cfg, 10.0, ch, 100, SeededStream(7, 6))
         assert np.all(se == 0.0)
         # fixed pair: combined branch gain enters at half power
         row = linksim._SchemeState(cfg, ch.channels)
@@ -742,9 +746,9 @@ class TestRateEstimation:
         ch = sample_channel_set(4, 8, SeededStream(7, 3))  # rank-2 instance
         sol = solve_mc_covariance(ch)
         rank = sampling.psd_sqrt(sol.covariance.entries)[1]
-        cfg = SchemeConfig(scheme, sol.covariance, QPSK, 10.0)
+        cfg = SchemeConfig(scheme, sol.covariance, QPSK)
         est, se = estimate_user_rates_mc(
-            cfg, ch, 10**5, SeededStream(7, SCHEMES.index(scheme))
+            cfg, 10.0, ch, 10**5, SeededStream(7, SCHEMES.index(scheme))
         )
         rho, _ = capacity.rho_values(sol.covariance, ch)
         closed = np.array([rate_fn(rates.SchemeParams(r, 10.0, rank)) for r in rho])
@@ -752,9 +756,9 @@ class TestRateEstimation:
 
     def test_unsupported_scheme(self):
         ch = sample_channel_set(4, 2, SeededStream(7, 9))
-        cfg = SchemeConfig("precoded_qostbc", RANK4_COV, BPSK, 1.0, 8)
+        cfg = SchemeConfig("precoded_qostbc", RANK4_COV, BPSK, 8)
         with pytest.raises(ValueError):
-            estimate_user_rates_mc(cfg, ch, 10, SeededStream(7, 10))
+            estimate_user_rates_mc(cfg, 1.0, ch, 10, SeededStream(7, 10))
 
 
 def test_ber_vs_rate_consistency_logged():
@@ -771,10 +775,12 @@ def test_ber_vs_rate_consistency_logged():
         rate = {}
         ber = {}
         for k, scheme in enumerate(schemes):
-            cfg = SchemeConfig(scheme, sol.covariance, QPSK, power, 1440)
-            est, _ = estimate_user_rates_mc(cfg, ch, 20000, SeededStream(88, 100 + 10 * j + k))
+            cfg = SchemeConfig(scheme, sol.covariance, QPSK, 1440)
+            est, _ = estimate_user_rates_mc(cfg, power, ch, 20000,
+                                            SeededStream(88, 100 + 10 * j + k))
             rate[scheme] = est.min()
-            res = simulate_worst_user_ber(cfg, ch, 2, SeededStream(88, 200 + 10 * j + k))
+            res = simulate_ber_sweep([cfg], [power], ch, 2,
+                                     SeededStream(88, 200 + 10 * j + k))[0][0]
             ber[scheme] = res.worst_user_ber
         for a in schemes:
             for b in schemes:
@@ -794,15 +800,14 @@ def test_scheme_ordering_at_high_power():
     for j in range(n_real):
         ch = sample_channel_set(4, 16, SeededStream(8, j))
         sol = solve_mc_covariance(ch, tol=1e-4)
-        kwargs = dict(covariance=sol.covariance, constellation=QPSK, power=power,
-                      frame_length=1440)
-        ea = simulate_worst_user_ber(
-            SchemeConfig(scheme="ellip_sbf_alamouti", **kwargs), ch, 2,
+        kwargs = dict(covariance=sol.covariance, constellation=QPSK, frame_length=1440)
+        ea = simulate_ber_sweep(
+            [SchemeConfig(scheme="ellip_sbf_alamouti", **kwargs)], [power], ch, 2,
             SeededStream(9, 2 * j),
-        )
-        gs = simulate_worst_user_ber(
-            SchemeConfig(scheme="gauss_sbf", **kwargs), ch, 2,
+        )[0][0]
+        gs = simulate_ber_sweep(
+            [SchemeConfig(scheme="gauss_sbf", **kwargs)], [power], ch, 2,
             SeededStream(9, 2 * j + 1),
-        )
+        )[0][0]
         wins += ea.worst_user_ber <= gs.worst_user_ber
     assert wins >= 0.8 * n_real

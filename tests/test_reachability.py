@@ -1,7 +1,7 @@
 """The library holds what a command runs.
 
 Reduced configs of all five commands, plus M = 1, all seven CLI link schemes
-and a rank-4 QOSTBC row, run under sys.setprofile and threading.setprofile.
+and a rank-4 QOSTBC row, run under sys.setprofile.
 Every function, method and lambda defined under src/sbfmc that none of them
 calls must be on UNCALLED, with the reason it stays.  A function that only
 tests call belongs in tests/helpers.py; one that nothing calls is deleted.
@@ -11,12 +11,11 @@ import ast
 import inspect
 import pathlib
 import sys
-import threading
 import types
 
 import sbfmc
 from sbfmc.cli import main
-from sbfmc.linksim import SchemeConfig, make_constellation, simulate_worst_user_ber
+from sbfmc.linksim import SchemeConfig, make_constellation, simulate_ber_sweep
 from sbfmc.sampling import ChannelSet, SeededStream, randn_complex
 
 from test_golden import RANK4_COV
@@ -80,26 +79,22 @@ def run_commands(tmp_path):
         assert main(argv) == 0, name
     # precoded_qostbc needs a rank-4 W*, which no small shipped-style draw gives
     ch = ChannelSet(randn_complex(SeededStream(16, 0).generator(), 3, 4))
-    cfg = SchemeConfig("precoded_qostbc", RANK4_COV, make_constellation("qpsk"), 4.0, 8)
-    simulate_worst_user_ber(cfg, ch, 2, SeededStream(16, 1))
+    cfg = SchemeConfig("precoded_qostbc", RANK4_COV, make_constellation("qpsk"), 8)
+    simulate_ber_sweep([cfg], [4.0], ch, 2, SeededStream(16, 1))
 
 
-def test_every_library_function_runs_in_a_command(tmp_path, monkeypatch):
-    # two frame threads: the worker pool runs, and threading.setprofile sees it
-    monkeypatch.setenv("SBF_THREADS", "2")
+def test_every_library_function_runs_in_a_command(tmp_path):
     called = set()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
-    threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         run_commands(tmp_path)
     finally:
         sys.setprofile(None)
-        threading.setprofile(None)
     functions = library_functions()
     for code in called:
         key = (str(pathlib.Path(code.co_filename).resolve()), code.co_firstlineno, code.co_name)

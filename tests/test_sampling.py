@@ -1,6 +1,7 @@
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ class TestSeededStream:
         a = SeededStream(123, 0).generator().standard_normal(8)
         b = SeededStream(123, 1).generator().standard_normal(8)
         assert not np.array_equal(a, b)
+
+    def test_keys_at_and_above_2_63_are_exact(self):
+        # a list key passes through float64 in numpy: seeds 2^63 and
+        # 2^63 + 1 were one stream, and 2^64 - 1 an invalid cast that warned
+        seeds = (2**63, 2**63 + 1, 2**64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [f(SeededStream(seed, 5)).standard_normal(4) for seed in seeds
+                     for f in (SeededStream.generator, lambda s: s.substream(0))]
+            key = SeededStream(2**63 + 1, 5).generator().bit_generator.state["state"]["key"]
+        assert key.tolist() == [2**63 + 1, 5]
+        assert len({d.tobytes() for d in draws}) == len(draws)
 
     def test_substreams_disjoint_and_stable(self):
         s = SeededStream(9, 9)
